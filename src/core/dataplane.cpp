@@ -166,13 +166,11 @@ void DataPlaneEngine::originate_batched(net::Network& net) {
     ++g;
   }
 
-  batch_.clear();
   for (std::uint32_t i = 0; i < plans_.size(); ++i) {
     const auto [group, item] = slots_[i];
     runner_.node(plans_[i].source)
-        .push_sealed(net, plans_[i].plan, group_out_[group].item(item), batch_);
+        .push_sealed(net, plans_[i].plan, group_out_[group].item(item));
   }
-  net.deliver_batch(batch_);
 }
 
 void DataPlaneEngine::refresh_all() {

@@ -13,8 +13,8 @@
 ///    and broadcasting one packet at a time (the historical path);
 ///  * batched — originations are planned via prepare_reading, grouped by
 ///    wrap key, sealed 4–8 at a time through the multi-buffer
-///    SealContext::seal_batch, and handed to the channel as one SoA
-///    net::PacketBatch per tick (Network::deliver_batch).
+///    SealContext::seal_batch, and broadcast in plan order through
+///    SensorNode::push_sealed.
 ///
 /// The two pipelines are bit-identical per seed: same ciphertexts and
 /// tags on the air, same RNG draw order in the channel, same delivery
@@ -34,7 +34,6 @@
 #include "core/runner.hpp"
 #include "crypto/obs.hpp"
 #include "crypto/seal_context.hpp"
-#include "net/packet_batch.hpp"
 
 namespace ldke::core {
 
@@ -133,7 +132,6 @@ class DataPlaneEngine {
   std::vector<crypto::SealRequest> reqs_;
   std::vector<crypto::SealedBatch> group_out_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> slots_;  // (group, item)
-  net::PacketBatch batch_;
   crypto::SealContextCache seal_cache_{64};
 };
 

@@ -309,10 +309,9 @@ void SensorNode::forward_inner(net::Network& net, wsn::DataInner inner) {
 }
 
 void SensorNode::push_sealed(net::Network& net, const HopPlan& plan,
-                             std::span<const std::uint8_t> sealed,
-                             net::PacketBatch& out) {
-  out.push(id(), PacketKind::kData,
-           net::PayloadRef{wsn::join_envelope(plan.header_bytes, sealed)});
+                             std::span<const std::uint8_t> sealed) {
+  net.broadcast(Packet{id(), PacketKind::kData,
+                       wsn::join_envelope(plan.header_bytes, sealed)});
   net.counters().increment("data.hop_tx");
 }
 
@@ -586,6 +585,13 @@ void SensorNode::on_revoke(net::Network& net, const Packet& packet,
       wsn::revoke_tag(body.chain_element, body.revoked_cids);
   if (!support::constant_time_equal(expected, body.tag)) {
     net.counters().increment("revoke.bad_tag");
+    return;
+  }
+  // A copy of the command this node already accepted (the flood reaches
+  // it from every neighbor): the element is our commitment, so walking
+  // F toward it would only burn max_skip PRF calls and then fail.
+  if (body.chain_element == chain_.commitment()) {
+    net.counters().increment("revoke.duplicate");
     return;
   }
   if (!chain_.accept(body.chain_element)) {

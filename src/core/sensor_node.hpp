@@ -34,7 +34,6 @@
 #include "crypto/prf.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
-#include "net/packet_batch.hpp"
 #include "support/flat_map.hpp"
 #include "wsn/messages.hpp"
 #include "wsn/routing.hpp"
@@ -114,10 +113,9 @@ class SensorNode : public net::Node {
 
   /// Batched-origination back half: assembles \p sealed (this plan's
   /// seal_batch output) into the DATA packet send_reading() would have
-  /// broadcast and appends it to \p out for Network::deliver_batch.
+  /// broadcast, and broadcasts it.
   void push_sealed(net::Network& net, const HopPlan& plan,
-                   std::span<const std::uint8_t> sealed,
-                   net::PacketBatch& out);
+                   std::span<const std::uint8_t> sealed);
 
   /// Data-fusion hook: inspects every authenticated reading this node is
   /// asked to forward; returning false discards it as redundant (§II

@@ -74,75 +74,31 @@ Channel::KindArray Channel::tx_bytes_by_kind() const noexcept {
   return out;
 }
 
-std::shared_ptr<bool> Channel::track_reception(NodeId receiver,
-                                               sim::SimTime when) {
-  auto corrupted = std::make_shared<bool>(false);
+void Channel::track_reception(NodeId receiver, sim::SimTime when) {
+  const sim::SimTime now = sim_.now();
   auto& active = active_receptions_[receiver];
-  // Prune receptions that already finished (their events have run).
-  std::erase_if(active,
-                [now = sim_.now()](const Reception& r) { return r.end <= now; });
+  // Prune finished windows, but keep those ending exactly now: their
+  // delivery may still be pending at this instant and reads its flag.
+  std::erase_if(active, [now](const Reception& r) { return r.end < now; });
+  bool corrupted = false;
   for (Reception& ongoing : active) {
     // Any temporal overlap corrupts both frames (no capture effect).
-    *ongoing.corrupted = true;
-    *corrupted = true;
+    if (ongoing.end <= now) continue;
+    ongoing.corrupted = true;
+    corrupted = true;
   }
   active.push_back(Reception{when, corrupted});
-  return corrupted;
 }
 
-void Channel::schedule_delivery(NodeId receiver, const Packet& packet,
-                                sim::SimTime when) {
-  if (config_.loss_probability > 0.0 &&
-      sim_.rng().bernoulli(config_.loss_probability)) {
-    LaneTallies& t = tallies();
-    ++t.losses;
-    counters_.increment(t.ctr_lost);
-    return;
+bool Channel::reception_corrupted(NodeId receiver) const {
+  // Every window has positive airtime, so two windows ending at the
+  // same instant at one receiver overlap: any window ending now carries
+  // the right flag.
+  for (const Reception& r : active_receptions_.at(receiver)) {
+    if (r.end == sim_.now()) return r.corrupted;
   }
-  std::shared_ptr<bool> corrupted;
-  if (config_.model_collisions) {
-    corrupted = track_reception(receiver, when);
-  }
-  // Carrier sensing: an incoming frame keeps the receiver's medium busy
-  // until it fully arrives.
-  if (config_.csma) note_busy(receiver, when);
-  // Capturing the packet by value only bumps the payload refcount — the
-  // bytes are immutable and shared across every receiver's event.
-  auto deliver = [this, receiver, packet, corrupted] {
-    // A node that left or slept between transmission and arrival hears
-    // nothing: no rx energy, no dispatch into its (possibly recycled)
-    // slot — the frame just dies on the air.
-    if (delivery_gate_ && !delivery_gate_(receiver)) {
-      LaneTallies& gt = tallies();
-      ++gt.dropped_gone;
-      counters_.increment(gt.ctr_dropped_gone);
-      return;
-    }
-    // The radio listened either way.  Runs on the receiver's lane, so
-    // the tallies cell and the per-node energy slot are lane-local.
-    energy_.charge_rx(receiver, packet.size_bytes());
-    LaneTallies& t = tallies();
-    if (corrupted && *corrupted) {
-      ++t.collisions;
-      counters_.increment(t.ctr_collision);
-      return;
-    }
-    ++t.rx_count;
-    counters_.increment(t.ctr_delivered);
-    if (deliver_) deliver_(receiver, packet);
-  };
-  if (kernel_ != nullptr) {
-    const std::uint32_t dst = (*lane_of_)[receiver];
-    if (dst != sim::ShardedKernel::current_lane()) {
-      // Halo delivery: buffered in the per-lane-pair outbox and merged
-      // at the next window barrier in canonical order.  `when` satisfies
-      // the lookahead contract because it is at least min_latency()
-      // after the transmission.
-      kernel_->schedule_cross(dst, when, std::move(deliver));
-      return;
-    }
-  }
-  sim_.schedule_at(when, std::move(deliver));
+  assert(false && "delivery without a tracked reception");
+  return false;
 }
 
 void Channel::note_busy(NodeId node, sim::SimTime until) {
@@ -163,6 +119,8 @@ void Channel::fan_out(const Packet& packet, std::span<const NodeId> receivers,
     t.tx_bytes_by_kind[kind] += packet.size_bytes();
   }
   counters_.increment(t.*tx_counter);
+  std::vector<NodeId> heard;
+  heard.reserve(receivers.size());
   for (NodeId receiver : receivers) {
     // Link validity is a transmit-time fact (a partition wall blocks the
     // signal itself), so gate before the per-receiver loss draw.
@@ -171,7 +129,73 @@ void Channel::fan_out(const Packet& packet, std::span<const NodeId> receivers,
       counters_.increment(t.ctr_dropped_partition);
       continue;
     }
-    schedule_delivery(receiver, packet, arrival);
+    if (config_.loss_probability > 0.0 &&
+        sim_.rng().bernoulli(config_.loss_probability)) {
+      ++t.losses;
+      counters_.increment(t.ctr_lost);
+      continue;
+    }
+    if (config_.model_collisions) track_reception(receiver, arrival);
+    // Carrier sensing: an incoming frame keeps the receiver's medium busy
+    // until it fully arrives.
+    if (config_.csma) note_busy(receiver, arrival);
+    heard.push_back(receiver);
+  }
+  if (heard.empty()) return;
+  // Capturing the packet by value only bumps the payload refcount — the
+  // bytes are immutable and shared by every receiver of the event.
+  const auto event = [this, &packet](std::vector<NodeId> to) {
+    auto fn = [this, packet, to = std::move(to)] { deliver(packet, to); };
+    static_assert(sizeof(fn) <= sim::EventFn::kInlineBytes,
+                  "delivery event must stay within EventFn's inline buffer");
+    return fn;
+  };
+  if (kernel_ == nullptr) {
+    sim_.schedule_at(arrival, event(std::move(heard)));
+    return;
+  }
+  // Sharded: one event per destination lane.  Off-lane receivers travel
+  // as a halo event, merged at the next window barrier in canonical
+  // order; `arrival` satisfies the lookahead contract because it is at
+  // least min_latency() after the transmission.
+  std::vector<std::vector<NodeId>> by_lane(tallies_.size());
+  for (NodeId receiver : heard) {
+    by_lane[(*lane_of_)[receiver]].push_back(receiver);
+  }
+  const std::uint32_t here = sim::ShardedKernel::current_lane();
+  for (std::uint32_t lane = 0; lane < by_lane.size(); ++lane) {
+    if (by_lane[lane].empty()) continue;
+    if (lane == here) {
+      sim_.schedule_at(arrival, event(std::move(by_lane[lane])));
+    } else {
+      kernel_->schedule_cross(lane, arrival, event(std::move(by_lane[lane])));
+    }
+  }
+}
+
+void Channel::deliver(const Packet& packet, std::span<const NodeId> receivers) {
+  // Runs on the receivers' lane, so the tallies cell and the per-node
+  // energy slots are lane-local.
+  LaneTallies& t = tallies();
+  for (NodeId receiver : receivers) {
+    // A node that left or slept between transmission and arrival hears
+    // nothing: no rx energy, no dispatch into its (possibly recycled)
+    // slot — the frame just dies on the air.
+    if (delivery_gate_ && !delivery_gate_(receiver)) {
+      ++t.dropped_gone;
+      counters_.increment(t.ctr_dropped_gone);
+      continue;
+    }
+    // The radio listened either way.
+    energy_.charge_rx(receiver, packet.size_bytes());
+    if (config_.model_collisions && reception_corrupted(receiver)) {
+      ++t.collisions;
+      counters_.increment(t.ctr_collision);
+      continue;
+    }
+    ++t.rx_count;
+    counters_.increment(t.ctr_delivered);
+    if (deliver_) deliver_(receiver, packet);
   }
 }
 
@@ -204,105 +228,6 @@ void Channel::csma_transmit(Packet packet, int attempt) {
   sim_.schedule_at(resume, [this, packet = std::move(packet), attempt] {
     csma_transmit(packet, attempt + 1);
   });
-}
-
-void Channel::fan_out_batched(const Packet& packet,
-                              std::span<const NodeId> receivers,
-                              sim::SimTime arrival) {
-  if (sniffer_) sniffer_(packet);
-  LaneTallies& t = tallies();
-  ++t.tx_count;
-  t.tx_bytes += packet.size_bytes();
-  const auto kind = static_cast<std::size_t>(packet.kind);
-  if (kind < kPacketKindCount) {
-    ++t.tx_packets_by_kind[kind];
-    t.tx_bytes_by_kind[kind] += packet.size_bytes();
-  }
-  counters_.increment(t.ctr_tx);
-
-  // Schedule-time decisions happen per receiver in the scalar order, so
-  // the loss RNG stream and collision windows match N schedule_delivery
-  // calls exactly; only the event count changes.
-  struct PendingDelivery {
-    NodeId receiver;
-    std::shared_ptr<bool> corrupted;  // null unless collisions modeled
-  };
-  const std::size_t lane_count = tallies_.size();
-  std::vector<std::vector<PendingDelivery>> per_lane(lane_count);
-  for (NodeId receiver : receivers) {
-    if (link_gate_ && !link_gate_(packet.sender, receiver)) {
-      ++t.dropped_partition;
-      counters_.increment(t.ctr_dropped_partition);
-      continue;
-    }
-    if (config_.loss_probability > 0.0 &&
-        sim_.rng().bernoulli(config_.loss_probability)) {
-      ++t.losses;
-      counters_.increment(t.ctr_lost);
-      continue;
-    }
-    std::shared_ptr<bool> corrupted;
-    if (config_.model_collisions) {
-      corrupted = track_reception(receiver, arrival);
-    }
-    const std::size_t dst = kernel_ != nullptr ? (*lane_of_)[receiver] : 0;
-    per_lane[dst].push_back(PendingDelivery{receiver, std::move(corrupted)});
-  }
-
-  for (std::size_t lane = 0; lane < lane_count; ++lane) {
-    if (per_lane[lane].empty()) continue;
-    auto deliver = [this, packet, pending = std::move(per_lane[lane])] {
-      // Runs on the destination lane: tallies and energy are lane-local.
-      std::vector<NodeId> survivors;
-      survivors.reserve(pending.size());
-      LaneTallies& lt = tallies();
-      for (const PendingDelivery& d : pending) {
-        if (delivery_gate_ && !delivery_gate_(d.receiver)) {
-          ++lt.dropped_gone;
-          counters_.increment(lt.ctr_dropped_gone);
-          continue;
-        }
-        energy_.charge_rx(d.receiver, packet.size_bytes());
-        if (d.corrupted && *d.corrupted) {
-          ++lt.collisions;
-          counters_.increment(lt.ctr_collision);
-          continue;
-        }
-        ++lt.rx_count;
-        counters_.increment(lt.ctr_delivered);
-        survivors.push_back(d.receiver);
-      }
-      if (survivors.empty()) return;
-      if (batch_deliver_) {
-        batch_deliver_(survivors, packet);
-      } else if (deliver_) {
-        for (NodeId r : survivors) deliver_(r, packet);
-      }
-    };
-    if (kernel_ != nullptr &&
-        static_cast<std::uint32_t>(lane) != sim::ShardedKernel::current_lane()) {
-      kernel_->schedule_cross(static_cast<std::uint32_t>(lane), arrival,
-                              std::move(deliver));
-    } else {
-      sim_.schedule_at(arrival, std::move(deliver));
-    }
-  }
-}
-
-void Channel::deliver_batch(const PacketBatch& batch) {
-  if (config_.csma) {
-    // Medium sensing serializes transmissions through per-sender busy
-    // state; coalescing would reorder the backoff draws.
-    for (std::size_t i = 0; i < batch.size(); ++i) broadcast(batch.packet(i));
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Packet packet = batch.packet(i);
-    const sim::SimTime tx_end = sim_.now() + tx_duration(packet);
-    energy_.charge_tx(packet.sender, packet.size_bytes(), topology_.range());
-    fan_out_batched(packet, topology_.neighbors(packet.sender),
-                    tx_end + config_.propagation_delay);
-  }
 }
 
 void Channel::broadcast(const Packet& packet) {

@@ -13,14 +13,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "net/energy.hpp"
 #include "net/packet.hpp"
-#include "net/packet_batch.hpp"
 #include "net/topology.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -58,16 +56,6 @@ class Channel {
     deliver_ = std::move(handler);
   }
 
-  /// Called once per (packet, lane) batched delivery with every receiver
-  /// that survived loss/collision filtering, in the scalar path's
-  /// per-receiver order.  Unset: deliver_batch falls back to invoking
-  /// the scalar handler per receiver.
-  using BatchDeliveryHandler =
-      std::function<void(std::span<const NodeId>, const Packet&)>;
-  void set_batch_delivery_handler(BatchDeliveryHandler handler) {
-    batch_deliver_ = std::move(handler);
-  }
-
   /// Passive global observer invoked for every transmission ("the
   /// broadcast nature of the transmission medium", §I) — the
   /// eavesdropping adversary of src/attacks records ciphertext here.
@@ -98,15 +86,6 @@ class Channel {
   /// part of the deployment); \p radius may exceed the network range to
   /// model laptop-class transmitters.  No energy is charged.
   void broadcast_from(Vec2 position, double radius, const Packet& packet);
-
-  /// Batched transmit: every packet in \p batch is broadcast exactly as
-  /// broadcast() would, but the per-receiver delivery events of one
-  /// packet coalesce into a single event per destination lane.  Loss
-  /// draws, energy charges, tallies, and handler-invocation order are
-  /// bit-identical to size() scalar broadcasts; only the scheduler's
-  /// event count differs.  CSMA falls back to the scalar path (medium
-  /// sensing serializes transmissions through per-sender state).
-  void deliver_batch(const PacketBatch& batch);
 
   [[nodiscard]] sim::SimTime tx_duration(const Packet& packet) const noexcept;
 
@@ -157,36 +136,37 @@ class Channel {
   [[nodiscard]] const ChannelConfig& config() const noexcept { return config_; }
 
  private:
-  void schedule_delivery(NodeId receiver, const Packet& packet,
-                         sim::SimTime when);
-
-  /// fan_out's batched twin: same transmit accounting and schedule-time
-  /// loss/collision decisions, one coalesced delivery event per
-  /// destination lane.
-  void fan_out_batched(const Packet& packet, std::span<const NodeId> receivers,
-                       sim::SimTime arrival);
-
   struct LaneTallies;
 
-  /// Shared transmit path for broadcast()/broadcast_from(): notes the
-  /// frame (sniffer, byte/tx accounting, the lane's \p tx_counter) and
-  /// schedules a delivery for every receiver.  The packet's payload is
-  /// captured by refcount per receiver — O(1) buffer allocations
-  /// regardless of neighbor count.
+  /// The one transmit path, shared by broadcast() and broadcast_from().
+  /// Notes the frame (sniffer, byte/tx accounting, the lane's
+  /// \p tx_counter), then makes the transmit-time decisions per receiver
+  /// in CSR order: link gate, loss draw, collision window, CSMA busy
+  /// note.  The receivers that survive get one delivery event per
+  /// destination lane, which holds the payload by a single refcount.
   void fan_out(const Packet& packet, std::span<const NodeId> receivers,
                sim::SimTime arrival,
                sim::TraceCounters::Handle LaneTallies::* tx_counter);
 
-  /// Ongoing reception at a receiver; `corrupted` is shared with the
-  /// scheduled delivery event so a later overlapping arrival can void it.
+  /// Body of one delivery event.  Each receiver in turn, fully before
+  /// the next, gets what an event of its own would have done: delivery
+  /// gate, rx energy, collision check, tally, handler.  So a handler sees
+  /// the state it would have seen with one event per receiver (an
+  /// earlier receiver's handler may, say, put a later receiver to sleep).
+  void deliver(const Packet& packet, std::span<const NodeId> receivers);
+
+  /// Reception window at a receiver, flagged once another overlaps it.
   struct Reception {
     sim::SimTime end;
-    std::shared_ptr<bool> corrupted;
+    bool corrupted = false;
   };
 
-  /// Registers the reception window [now, when] at \p receiver and
-  /// returns its corruption flag (already true if it overlapped).
-  std::shared_ptr<bool> track_reception(NodeId receiver, sim::SimTime when);
+  /// Registers the reception window [now, when] at \p receiver, marking
+  /// it and every window it overlaps as corrupted.
+  void track_reception(NodeId receiver, sim::SimTime when);
+
+  /// Whether the reception ending now at \p receiver was corrupted.
+  [[nodiscard]] bool reception_corrupted(NodeId receiver) const;
 
   /// CSMA: actually emits the frame, or re-schedules itself while the
   /// sender's medium is busy.
@@ -244,7 +224,6 @@ class Channel {
   sim::TraceCounters& counters_;
   ChannelConfig config_;
   DeliveryHandler deliver_;
-  BatchDeliveryHandler batch_deliver_;
   SnifferHandler sniffer_;
   DeliveryGate delivery_gate_;
   LinkGate link_gate_;

@@ -17,10 +17,6 @@ Network::Network(sim::Simulator& sim, Topology topology,
       [this](NodeId receiver, const Packet& packet) {
         dispatch(receiver, packet);
       });
-  channel_.set_batch_delivery_handler(
-      [this](std::span<const NodeId> receivers, const Packet& packet) {
-        dispatch_batch(receivers, packet);
-      });
 }
 
 std::uint32_t Network::lane_for_position(Vec2 pos) const noexcept {
@@ -131,13 +127,6 @@ void Network::dispatch(NodeId receiver, const Packet& packet) {
   if (receiver < nodes_.size() && nodes_[receiver] != nullptr) {
     nodes_[receiver]->handle_packet(*this, packet);
   }
-}
-
-void Network::dispatch_batch(std::span<const NodeId> receivers,
-                             const Packet& packet) {
-  // One coalesced delivery event fans out to each receiver's behaviour
-  // in the scalar per-receiver order.
-  for (NodeId receiver : receivers) dispatch(receiver, packet);
 }
 
 }  // namespace ldke::net

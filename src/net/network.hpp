@@ -196,31 +196,8 @@ class Network {
     channel_.broadcast(packet);
   }
 
-  /// Batched broadcast through Channel::deliver_batch: bit-identical
-  /// deliveries, one coalesced event per (packet, destination lane).
-  /// Applies the same sender gate as broadcast() — an asleep/gone
-  /// origin transmits nothing and counts as `pkt.tx_gated` — so scalar
-  /// and batched runs tally and trace identically under scenarios.
-  void deliver_batch(const PacketBatch& batch) {
-    if (scenario_gating_) {
-      PacketBatch gated;
-      gated.reserve(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!is_active(batch.senders()[i])) {
-          counters().increment("pkt.tx_gated");
-          continue;
-        }
-        gated.push(batch.packet(i));
-      }
-      if (!gated.empty()) channel_.deliver_batch(gated);
-      return;
-    }
-    channel_.deliver_batch(batch);
-  }
-
  private:
   void dispatch(NodeId receiver, const Packet& packet);
-  void dispatch_batch(std::span<const NodeId> receivers, const Packet& packet);
 
   [[nodiscard]] std::uint32_t lane_for_position(Vec2 pos) const noexcept;
 

@@ -5,8 +5,6 @@
 
 namespace ldke::net {
 
-thread_local PayloadArena* PayloadArena::current_ = nullptr;
-
 PayloadArena::~PayloadArena() {
   for (Chunk& chunk : chunks_) release_chunk(chunk);
   for (Chunk& chunk : retired_) release_chunk(chunk);

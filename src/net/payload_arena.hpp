@@ -142,7 +142,9 @@ class PayloadArena {
   std::uint64_t blocks_allocated_ = 0;
   std::uint64_t generation_ = 0;
 
-  static thread_local PayloadArena* current_;
+  // Inline and constinit: every TU sees a constant-initialized variable
+  // and touches it directly, with no TLS init wrapper for UBSan to flag.
+  static constinit inline thread_local PayloadArena* current_ = nullptr;
 };
 
 }  // namespace ldke::net

@@ -2,11 +2,11 @@
 /// \file event_fn.hpp
 /// Move-only type-erased callable for scheduler events.  std::function's
 /// small-buffer slot (16 bytes on common ABIs) is too small for the
-/// simulator's typical event — a channel delivery captures a Packet
-/// (shared payload ref), a receiver id and a collision flag — so every
-/// scheduled event paid a heap allocation.  EventFn keeps a 64-byte
-/// inline buffer, which fits all hot-path events; larger captures fall
-/// back to the heap transparently.
+/// simulator's typical event — one channel delivery per transmission,
+/// capturing a Packet (shared payload ref) and its receiver list — so
+/// every scheduled event would pay a heap allocation.  EventFn keeps a
+/// 48-byte inline buffer, which fits all hot-path events; larger
+/// captures fall back to the heap transparently.
 
 #include <cstddef>
 #include <memory>
@@ -19,9 +19,10 @@ namespace ldke::sim {
 class EventFn {
  public:
   /// Inline capture budget: sized for the fattest hot-path event (a
-  /// channel delivery: vtable-free lambda of this + id + 16-byte Packet +
-  /// shared_ptr ≈ 44 bytes).  48 keeps a scheduler Slot (EventFn + ops
-  /// pointer + generation) at exactly one 64-byte cache line.
+  /// channel delivery: this + 16-byte Packet + 24-byte receiver vector =
+  /// 48 bytes, static_asserted in net/channel.cpp).  48 keeps a
+  /// scheduler Slot (EventFn + ops pointer + generation) at exactly one
+  /// 64-byte cache line.
   static constexpr std::size_t kInlineBytes = 48;
 
   EventFn() = default;

@@ -8,9 +8,6 @@
 
 namespace ldke::sim {
 
-thread_local std::uint32_t ShardedKernel::t_lane_ = 0;
-thread_local bool ShardedKernel::t_in_window_ = false;
-
 namespace {
 
 std::uint64_t wall_ns_now() noexcept {

@@ -198,8 +198,10 @@ class ShardedKernel {
   std::atomic<bool> stop_requested_{false};
   std::vector<Halo> merge_scratch_;
 
-  static thread_local std::uint32_t t_lane_;
-  static thread_local bool t_in_window_;
+  // Inline and constinit, like PayloadArena::current_: no TLS init
+  // wrapper for UBSan to flag as a store through a null pointer.
+  static constinit inline thread_local std::uint32_t t_lane_ = 0;
+  static constinit inline thread_local bool t_in_window_ = false;
 };
 
 }  // namespace ldke::sim

@@ -127,6 +127,19 @@ TEST(Revocation, TamperedCidListRejected) {
   EXPECT_TRUE(runner->node(innocent).keys().key_for(innocent).has_value());
 }
 
+TEST(Revocation, FloodCopiesCountAsDuplicatesNotForgeries) {
+  auto runner = after_key_setup();
+  const ClusterId victim = some_head(*runner);
+  ASSERT_TRUE(
+      runner->base_station()->revoke_clusters(runner->network(), {victim}));
+  runner->run_for(10.0);  // flood settles
+  // Every node hears the command again from each forwarding neighbor;
+  // those copies are duplicates of an accepted element, not forgeries.
+  const sim::TraceCounters& counters = runner->network().counters();
+  EXPECT_GT(counters.value("revoke.duplicate"), 0u);
+  EXPECT_EQ(counters.value("revoke.bad_chain"), 0u);
+}
+
 TEST(Revocation, SequentialCommandsUseSuccessiveChainElements) {
   auto runner = after_key_setup();
   const ClusterId first = some_head(*runner);

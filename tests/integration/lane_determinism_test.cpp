@@ -3,7 +3,10 @@
 /// metrics (keys/node, messages/node, cluster distribution), identical
 /// channel delivery counts, identical energy totals (doubles compared
 /// exactly — the id-order summation makes them reproducible) and
-/// identical metric registries modulo the kernel.* balance gauges.
+/// identical metric registries modulo the kernel.* balance gauges.  The
+/// scheduler's event count is the one figure that legitimately varies
+/// with the lane count: the channel coalesces a transmission's
+/// deliveries into one event per destination lane.
 
 #include <gtest/gtest.h>
 
@@ -81,7 +84,6 @@ void expect_identical(const TrialResult& a, const TrialResult& b,
   EXPECT_EQ(a.transmissions, b.transmissions);
   EXPECT_EQ(a.deliveries, b.deliveries);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
-  EXPECT_EQ(a.events_executed, b.events_executed);
 
   EXPECT_EQ(a.energy_total_j, b.energy_total_j);
   EXPECT_EQ(a.energy_tx_j, b.energy_tx_j);
@@ -155,6 +157,7 @@ TEST(LaneDeterminism, RepeatShardedRunsAreIdentical) {
   const TrialResult first = run_trial(4, 7);
   const TrialResult second = run_trial(4, 7);
   expect_identical(first, second, 4);
+  EXPECT_EQ(first.events_executed, second.events_executed);
 }
 
 TEST(LaneDeterminism, DifferentSeedsDiffer) {
