@@ -1,8 +1,16 @@
 /// Micro-benchmarks of the crypto substrate (google-benchmark): the
 /// per-packet costs behind every simulated hop — AES blocks, SHA-256,
 /// HMAC tags, and the full seal/open envelope path.
+///
+/// one_way, SealContext(const Key128&) and SealContext::open remember
+/// their last inputs per thread, so a benchmark that repeats one input
+/// would time a memo hit.  Those that measure the computation rotate
+/// their inputs; the *MemoHit benchmarks time the hits on purpose.
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
+#include <vector>
 
 #include "crypto/aes128.hpp"
 #include "crypto/authenc.hpp"
@@ -21,6 +29,18 @@ crypto::Key128 bench_key() {
   for (int i = 0; i < 16; ++i) k.bytes[i] = static_cast<std::uint8_t>(i * 11);
   return k;
 }
+
+/// bench_key() with its first eight bytes replaced by \p i: a key no
+/// earlier iteration used, so every memo misses.
+crypto::Key128 fresh_key(std::uint64_t i) {
+  crypto::Key128 k = bench_key();
+  std::memcpy(k.bytes.data(), &i, sizeof i);
+  return k;
+}
+
+/// Envelopes under distinct nonces, opened in rotation so that no open
+/// repeats the one before it.
+constexpr std::uint64_t kOpenRing = 64;
 
 void BM_Aes128Block(benchmark::State& state) {
   const crypto::Aes128 aes{bench_key()};
@@ -101,13 +121,31 @@ BENCHMARK(BM_SealEnvelope)->Arg(36)->Arg(128);
 void BM_OpenEnvelope(benchmark::State& state) {
   const crypto::SealContext ctx{bench_key()};
   support::Bytes payload(static_cast<std::size_t>(state.range(0)), 0x33);
+  std::vector<support::Bytes> sealed;
+  for (std::uint64_t n = 0; n < kOpenRing; ++n) {
+    sealed.push_back(ctx.seal(n, payload));
+  }
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    auto plain = ctx.open(n, sealed[n]);
+    benchmark::DoNotOptimize(plain);
+    n = (n + 1) % kOpenRing;
+  }
+}
+BENCHMARK(BM_OpenEnvelope)->Arg(36)->Arg(128);
+
+// Every receiver after the first of a broadcast under a shared key: the
+// same envelope under the same context, answered from the open memo.
+void BM_OpenEnvelopeMemoHit(benchmark::State& state) {
+  const crypto::SealContext ctx{bench_key()};
+  support::Bytes payload(static_cast<std::size_t>(state.range(0)), 0x33);
   const auto sealed = ctx.seal(7, payload);
   for (auto _ : state) {
     auto plain = ctx.open(7, sealed);
     benchmark::DoNotOptimize(plain);
   }
 }
-BENCHMARK(BM_OpenEnvelope)->Arg(36)->Arg(128);
+BENCHMARK(BM_OpenEnvelopeMemoHit)->Arg(36)->Arg(128);
 
 // One-shot free-function path (key pair pre-derived, but AES schedule +
 // HMAC midstates re-computed per call) — the pre-caching baseline.
@@ -127,35 +165,52 @@ BENCHMARK(BM_SealEnvelopeUncached)->Arg(36)->Arg(128);
 void BM_OpenEnvelopeUncached(benchmark::State& state) {
   const crypto::KeyPair keys = crypto::derive_pair(bench_key());
   support::Bytes payload(static_cast<std::size_t>(state.range(0)), 0x33);
-  const auto sealed = crypto::seal(keys, 7, payload);
+  std::vector<support::Bytes> sealed;
+  for (std::uint64_t n = 0; n < kOpenRing; ++n) {
+    sealed.push_back(crypto::seal(keys, n, payload));
+  }
+  std::uint64_t n = 0;
   for (auto _ : state) {
-    auto plain = crypto::open(keys, 7, sealed);
+    auto plain = crypto::open(keys, n, sealed[n]);
     benchmark::DoNotOptimize(plain);
+    n = (n + 1) % kOpenRing;
   }
 }
 BENCHMARK(BM_OpenEnvelopeUncached)->Arg(36)->Arg(128);
 
-// Worst one-shot case: single root key, pair derivation included — what
-// every seal_with/open_with call paid before context caching.
+// Worst one-shot case: a root key no earlier call used, pair derivation
+// included — what every seal_with/open_with call paid before context
+// caching.
 void BM_SealEnvelopeFromRootKey(benchmark::State& state) {
-  const crypto::Key128 key = bench_key();
   support::Bytes payload(static_cast<std::size_t>(state.range(0)), 0x33);
   std::uint64_t nonce = 0;
   for (auto _ : state) {
-    auto sealed = crypto::seal_with(key, ++nonce, payload);
+    ++nonce;
+    auto sealed = crypto::seal_with(fresh_key(nonce), nonce, payload);
     benchmark::DoNotOptimize(sealed);
   }
 }
 BENCHMARK(BM_SealEnvelopeFromRootKey)->Arg(36);
 
 void BM_SealContextSetup(benchmark::State& state) {
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    crypto::SealContext ctx{fresh_key(++i)};
+    benchmark::DoNotOptimize(ctx);
+  }
+}
+BENCHMARK(BM_SealContextSetup);
+
+// A holder of a cluster key rebuilding its context after another holder
+// already built one for the same key: a copy out of the context memo.
+void BM_SealContextSetupMemoHit(benchmark::State& state) {
   const crypto::Key128 key = bench_key();
   for (auto _ : state) {
     crypto::SealContext ctx{key};
     benchmark::DoNotOptimize(ctx);
   }
 }
-BENCHMARK(BM_SealContextSetup);
+BENCHMARK(BM_SealContextSetupMemoHit);
 
 void BM_SealContextCacheHit(benchmark::State& state) {
   crypto::SealContextCache cache{8};
@@ -170,25 +225,44 @@ void BM_SealContextCacheHit(benchmark::State& state) {
 BENCHMARK(BM_SealContextCacheHit);
 
 void BM_KeyChainGeneration(benchmark::State& state) {
-  const crypto::Key128 seed = bench_key();
+  std::uint64_t i = 0;
   for (auto _ : state) {
-    crypto::KeyChain chain{seed, static_cast<std::size_t>(state.range(0))};
+    crypto::KeyChain chain{fresh_key(++i),
+                           static_cast<std::size_t>(state.range(0))};
     benchmark::DoNotOptimize(chain.commitment());
   }
 }
 BENCHMARK(BM_KeyChainGeneration)->Arg(64)->Arg(1024);
 
 void BM_ChainVerify(benchmark::State& state) {
-  const crypto::Key128 seed = bench_key();
-  crypto::KeyChain chain{seed, 1024};
-  const auto k1 = *chain.reveal_next();
-  const crypto::Key128 commitment = chain.commitment();
+  // (K_1, K_0) pairs of 2^16 distinct one-step chains, verified in
+  // rotation: far more keys than the one_way memo holds, so each F misses.
+  constexpr std::size_t kChains = std::size_t{1} << 16;
+  std::vector<crypto::Key128> revealed;
+  std::vector<crypto::Key128> commitments;
+  for (std::uint64_t i = 0; i < kChains; ++i) {
+    revealed.push_back(fresh_key(i));
+    commitments.push_back(crypto::one_way(revealed.back()));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    crypto::ChainVerifier verifier{commitment};
-    benchmark::DoNotOptimize(verifier.accept(k1));
+    crypto::ChainVerifier verifier{commitments[i]};
+    benchmark::DoNotOptimize(verifier.accept(revealed[i]));
+    i = (i + 1) % kChains;
   }
 }
 BENCHMARK(BM_ChainVerify);
+
+// A refresh round's later holders of one cluster key: F(Kc) out of the
+// one_way memo.
+void BM_OneWayMemoHit(benchmark::State& state) {
+  const crypto::Key128 key = bench_key();
+  for (auto _ : state) {
+    auto next = crypto::one_way(key);
+    benchmark::DoNotOptimize(next);
+  }
+}
+BENCHMARK(BM_OneWayMemoHit);
 
 }  // namespace
 

@@ -33,6 +33,12 @@ class Aes128 {
   /// most of it.  Bit-identical to n encrypt_block() calls.
   void encrypt_blocks(std::uint8_t* blocks, std::size_t n) const noexcept;
 
+  /// The cipher key, which is round key 0 and fixes all the others.
+  [[nodiscard]] std::span<const std::uint8_t, kKeyBytes> key_bytes()
+      const noexcept {
+    return std::span(round_keys_).first<kKeyBytes>();
+  }
+
  private:
   // 11 round keys of 16 bytes each.
   std::array<std::uint8_t, 176> round_keys_{};

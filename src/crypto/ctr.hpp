@@ -63,6 +63,12 @@ class AesCtrContext {
     return encrypt(nonce, cipher);
   }
 
+  /// The AES key this context encrypts under.
+  [[nodiscard]] std::span<const std::uint8_t, kKeyBytes> key_bytes()
+      const noexcept {
+    return aes_.key_bytes();
+  }
+
  private:
   Aes128 aes_;
 };

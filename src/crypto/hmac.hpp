@@ -26,6 +26,8 @@ using MacTag = std::array<std::uint8_t, kMacTagBytes>;
 struct HmacMidstate {
   Sha256Midstate inner;  ///< state after compressing (key ^ ipad)
   Sha256Midstate outer;  ///< state after compressing (key ^ opad)
+
+  friend bool operator==(const HmacMidstate&, const HmacMidstate&) = default;
 };
 
 /// Incremental HMAC-SHA-256.

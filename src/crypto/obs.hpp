@@ -8,6 +8,15 @@
 /// skip one branch when not.  Install with ScopedCryptoCounters around
 /// a region (a runner method, one node's packet handler) to attribute
 /// the work done inside it.
+///
+/// Counting rule: the counters record the crypto work the deployment
+/// does, not the work this process does.  one_way, SealContext(const
+/// Key128&) and SealContext::open answer repeated inputs from per-thread
+/// memos; a memo hit increments exactly the fields the computation would
+/// have (one prf call per one_way, two per context; opens, opened_bytes
+/// and, for a rejected envelope, open_failures).  Totals, per-node
+/// attribution and lane determinism are therefore independent of which
+/// calls hit.
 
 #include <cstdint>
 

@@ -23,7 +23,9 @@ namespace ldke::crypto {
 [[nodiscard]] Key128 prf_u64(const Key128& key, std::uint64_t label) noexcept;
 
 /// One-way function F(K) used by hash chains and key refresh (fixed
-/// "chain" domain-separation label).
+/// "chain" domain-separation label).  Memoized per thread on the exact
+/// input key, so the holders of one cluster key after the first copy the
+/// result; every call still counts one prf call (crypto/obs.hpp).
 [[nodiscard]] Key128 one_way(const Key128& key) noexcept;
 
 /// In-place variant for chain walks: key <- F(key).

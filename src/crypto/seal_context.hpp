@@ -87,9 +87,11 @@ struct OpenedBatch {
 class SealContext {
  public:
   /// Derives (Kencr, KMAC) = (F(key,0), F(key,1)) and caches both
-  /// contexts — the cached equivalent of seal_with/open_with.
-  explicit SealContext(const Key128& key) noexcept
-      : SealContext(PrfContext{key}.pair()) {}
+  /// contexts — the cached equivalent of seal_with/open_with.  Memoized
+  /// per thread on the exact key: every holder of a cluster key after the
+  /// first copies the context built for it, and still counts the two prf
+  /// calls of the derivation (crypto/obs.hpp).
+  explicit SealContext(const Key128& key) noexcept;
 
   /// Caches contexts for an already-derived pair — the cached equivalent
   /// of seal/open.
@@ -102,6 +104,11 @@ class SealContext {
                                     std::span<const std::uint8_t> aad = {}) const;
 
   /// Verifies and decrypts; std::nullopt on any authentication failure.
+  /// The thread's last open is remembered: a call whose context state
+  /// (AES key, HMAC midstates), nonce, sealed bytes and AAD all equal it
+  /// byte for byte returns the remembered result, success or failure, and
+  /// counts exactly as a computed open.  This is the shape of one
+  /// broadcast opened by every neighbour that holds the cluster key.
   [[nodiscard]] std::optional<support::Bytes> open(
       std::uint64_t nonce, std::span<const std::uint8_t> sealed,
       std::span<const std::uint8_t> aad = {}) const;

@@ -23,6 +23,8 @@ using Sha256Digest = std::array<std::uint8_t, kSha256DigestBytes>;
 struct Sha256Midstate {
   std::array<std::uint32_t, 8> state{};
   std::uint64_t total_bytes = 0;
+
+  friend bool operator==(const Sha256Midstate&, const Sha256Midstate&) = default;
 };
 
 /// Incremental SHA-256 context.

@@ -8,7 +8,8 @@ every violation so a CI failure points straight at the malformed field.
 Beyond shape, it re-checks the bench's own invariants so a stale or
 hand-edited artifact cannot sneak past CI:
   - the scalar and batched pipelines report bit-identical delivery
-    metrics (originated/hop_tx/delivered and every latency percentile),
+    metrics (originated/hop_tx/delivered and every latency percentile)
+    and identical crypto work (seals, opens),
   - metrics_identical agrees with that comparison,
   - an optional --min-pps floor on the batched pipeline's originations/s.
 
@@ -70,7 +71,9 @@ PIPELINE_FIELDS = {
 }
 
 # The fields that must be bit-identical between the two pipelines for
-# the batched path to count as equivalent.
+# the batched path to count as equivalent.  seals and opens count the
+# crypto work the deployment does (crypto/obs.hpp): memo hits count like
+# computed calls, so they do not depend on the pipeline either.
 IDENTICAL_FIELDS = (
     "originated",
     "hop_tx",
