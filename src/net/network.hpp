@@ -94,27 +94,15 @@ class Network {
   }
   [[nodiscard]] obs::AuditSink* audit_sink() noexcept { return audit_sink_; }
 
-  /// Optional synchronous tap on the same stream (incremental health
-  /// accounting).  Unlike the sink it never evicts: the listener sees
-  /// every event, in emission order.  Serial engines only — the sharded
-  /// kernel would dispatch concurrently.
-  void set_audit_listener(obs::AuditListener* listener) noexcept {
-    audit_listener_ = listener;
-  }
-  [[nodiscard]] obs::AuditListener* audit_listener() const noexcept {
-    return audit_listener_;
-  }
-
   /// Records one protocol lifecycle event at the current sim time.  A
   /// single predictable branch when no sink is attached — cheap enough
   /// for per-envelope sites like replay rejection.
   void audit(obs::AuditKind kind, std::uint32_t actor,
              std::uint32_t subject = obs::kAuditNoSubject,
              std::uint64_t arg = 0) {
-    if (audit_sink_ == nullptr && audit_listener_ == nullptr) return;
-    const obs::AuditEvent event{sim_.now().ns(), actor, subject, arg, kind};
-    if (audit_sink_ != nullptr) audit_sink_->record(record_lane(), event);
-    if (audit_listener_ != nullptr) audit_listener_->on_audit(event);
+    if (audit_sink_ == nullptr) return;
+    audit_sink_->record(record_lane(),
+                        {sim_.now().ns(), actor, subject, arg, kind});
   }
 
   /// Shard index recorders (audit sink, packet trace) should write to
@@ -164,9 +152,8 @@ class Network {
   /// Incremental mobility epoch: moves only the listed nodes and
   /// patches the topology in place (see Topology::apply_displacements).
   void apply_displacements(std::span<const NodeId> moved,
-                           std::span<const Vec2> new_positions,
-                           std::vector<EdgeChange>* diff = nullptr) {
-    topology_.apply_displacements(moved, new_positions, diff);
+                           std::span<const Vec2> new_positions) {
+    topology_.apply_displacements(moved, new_positions);
   }
 
   /// Registers the behaviour for an existing topology slot.
@@ -214,7 +201,6 @@ class Network {
   std::vector<Node*> nodes_;
   obs::DeliveryTracker* delivery_tracker_ = nullptr;
   obs::AuditSink* audit_sink_ = nullptr;
-  obs::AuditListener* audit_listener_ = nullptr;
   // Scenario state (empty / unset on static deployments).
   std::vector<RadioState> radio_state_;  ///< empty = everyone active
   std::optional<double> partition_x_;

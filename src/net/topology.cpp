@@ -295,8 +295,7 @@ void Topology::compact_pool() {
 }
 
 void Topology::apply_displacements(std::span<const NodeId> moved,
-                                   std::span<const Vec2> new_positions,
-                                   std::vector<EdgeChange>* diff) {
+                                   std::span<const Vec2> new_positions) {
   assert(moved.size() == new_positions.size());
   ++maint_.incremental_epochs;
   if (moved.empty()) return;
@@ -330,7 +329,7 @@ void Topology::apply_displacements(std::span<const NodeId> moved,
   // list against its old one yields the flipped edges; non-mover
   // endpoints get a sorted one-element patch, mover endpoints rebuild
   // their own lists anyway.  Mover-mover flips surface in both scans
-  // and are emitted once (from the lower id).
+  // and are counted once (from the lower id).
   for (const NodeId m : moved) {
     const auto old_list = neighbors(m);
     scratch_old_.assign(old_list.begin(), old_list.end());
@@ -344,23 +343,13 @@ void Topology::apply_displacements(std::span<const NodeId> moved,
         const NodeId v = scratch_old_[i++];
         const bool v_moved = mover_stamp_[v] == stamp_epoch_;
         if (!v_moved) patch_erase(v, m);
-        if (!v_moved || v > m) {
-          ++maint_.edges_removed;
-          if (diff != nullptr) {
-            diff->push_back({std::min(m, v), std::max(m, v), false});
-          }
-        }
+        if (!v_moved || v > m) ++maint_.edges_removed;
       } else if (i == scratch_old_.size() ||
                  scratch_new_[j] < scratch_old_[i]) {
         const NodeId v = scratch_new_[j++];
         const bool v_moved = mover_stamp_[v] == stamp_epoch_;
         if (!v_moved) patch_insert(v, m);
-        if (!v_moved || v > m) {
-          ++maint_.edges_added;
-          if (diff != nullptr) {
-            diff->push_back({std::min(m, v), std::max(m, v), true});
-          }
-        }
+        if (!v_moved || v > m) ++maint_.edges_added;
       } else {
         ++i;
         ++j;

@@ -35,15 +35,6 @@ using NodeId = std::uint32_t;
 
 inline constexpr NodeId kNoNode = UINT32_MAX;
 
-/// One unit-disk edge flipping state during apply_displacements().
-/// Endpoints are canonicalized a < b.
-struct EdgeChange {
-  NodeId a = 0;
-  NodeId b = 0;
-  bool added = false;
-  friend bool operator==(const EdgeChange&, const EdgeChange&) = default;
-};
-
 /// Placement + neighbor lists; grows through add_node() (§IV-E) and
 /// moves through update_positions() / apply_displacements().
 class Topology {
@@ -113,13 +104,10 @@ class Topology {
   /// changed this epoch (ascending, no duplicates) and \p new_positions
   /// their new coordinates, index-aligned with \p moved (clamped to
   /// [0, side]).  Cost is proportional to movers and their neighborhood
-  /// churn, not to size().  When \p diff is non-null, every unit-disk
-  /// edge that flipped is appended exactly once (endpoints a < b).
-  /// Produces neighbor lists element-identical to update_positions()
-  /// with the equivalent full position array.
+  /// churn, not to size().  Produces neighbor lists element-identical
+  /// to update_positions() with the equivalent full position array.
   void apply_displacements(std::span<const NodeId> moved,
-                           std::span<const Vec2> new_positions,
-                           std::vector<EdgeChange>* diff = nullptr);
+                           std::span<const Vec2> new_positions);
 
   [[nodiscard]] std::span<const Vec2> positions() const noexcept {
     return positions_;

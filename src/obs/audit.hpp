@@ -89,17 +89,6 @@ struct HealthSample {
   double epoch_mean = 0.0;
 };
 
-/// Synchronous tap on the audit stream, dispatched at the emission site
-/// (Network::audit) alongside the bounded AuditSink.  Unlike the sink —
-/// which evicts under pressure and therefore cannot back incremental
-/// state — a listener sees every event exactly once, in emission order.
-/// Implementations must be cheap: they run inline with protocol code.
-class AuditListener {
- public:
-  virtual ~AuditListener() = default;
-  virtual void on_audit(const AuditEvent& event) = 0;
-};
-
 /// Bounded, lane-sharded recorder for AuditEvents.  One shard per lane
 /// on its own cache line; record() is wait-free per lane.  When a shard
 /// fills, the oldest quarter is evicted (same policy as PacketTrace) and

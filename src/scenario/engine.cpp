@@ -35,9 +35,7 @@ ScenarioEngine::ScenarioEngine(core::ProtocolRunner& runner, ScenarioSpec spec)
       timeline_(Timeline::expand(spec_, runner.config().seed)),
       mobility_(spec_.motion, spec_.side_m,
                 runner.network().topology().positions(),
-                support::derive_seed(runner.config().seed, kMotionSeedTag)),
-      topo_source_(runner.network().topology()),
-      accum_(topo_source_) {
+                support::derive_seed(runner.config().seed, kMotionSeedTag)) {
   const std::string problem = spec_.validate();
   if (!problem.empty()) {
     throw std::invalid_argument("ScenarioEngine: invalid spec: " + problem);
@@ -57,32 +55,6 @@ ScenarioEngine::ScenarioEngine(core::ProtocolRunner& runner, ScenarioSpec spec)
         "ScenarioEngine requires the serial event loop (kernel lanes == 1): "
         "scenario events mutate node state across the whole deployment");
   }
-}
-
-ScenarioEngine::~ScenarioEngine() { detach_health_listener(); }
-
-void ScenarioEngine::detach_health_listener() noexcept {
-  if (!accum_live_) return;
-  if (runner_.network().audit_listener() == &accum_) {
-    runner_.network().set_audit_listener(nullptr);
-  }
-  accum_live_ = false;
-}
-
-void ScenarioEngine::resync_health() {
-  const net::Network& net = runner_.network();
-  const std::size_t n = runner_.node_count();
-  accum_.begin_resync(n);
-  std::vector<std::uint32_t> cids;
-  for (net::NodeId id = 0; id < n; ++id) {
-    const core::SensorNode& node = runner_.node(id);
-    cids.clear();
-    for (const auto& [cid, key] : node.keys().all()) cids.push_back(cid);
-    std::sort(cids.begin(), cids.end());
-    accum_.resync_node(id, net.is_active(id), node.keys().has_own(),
-                       node.hash_epoch(), cids);
-  }
-  accum_.end_resync();
 }
 
 std::uint32_t ScenarioEngine::global_hash_epoch() const noexcept {
@@ -116,7 +88,6 @@ void ScenarioEngine::apply_event(const Event& ev, PhaseStats& ps) {
             "ScenarioEngine: join id diverged from the timeline");
       }
       mobility_.add_node(ev.pos);
-      if (accum_live_) accum_.on_node_added(ev.node);
       phase_join_ids_.push_back(ev.node);
       ++ps.joins;
       break;
@@ -160,15 +131,8 @@ void ScenarioEngine::schedule_motion_epochs(sim::SimTime phase_end,
   sim.schedule_at(next, [this, phase_end, epoch_s, &ps] {
     mobility_.advance(epoch_s);
     if (topo_mode_ == TopologyMaintenance::kIncremental) {
-      // Patch only what moved; the edge diff feeds the incremental
-      // health accounting so nothing ever rescans the whole graph.
       const MobilityField::Displacements delta = mobility_.displacements();
-      edge_diff_.clear();
-      runner_.network().apply_displacements(
-          delta.ids, delta.positions, accum_live_ ? &edge_diff_ : nullptr);
-      for (const net::EdgeChange& e : edge_diff_) {
-        accum_.on_edge(e.a, e.b, e.added);
-      }
+      runner_.network().apply_displacements(delta.ids, delta.positions);
     } else {
       runner_.network().update_positions(mobility_.positions());
     }
@@ -215,8 +179,9 @@ void ScenarioEngine::finish_phase(std::uint32_t pi, PhaseStats& ps,
   ps.originated = dp_stats.originated;
   ps.refresh_rounds = dp_stats.refresh_rounds;
 
-  const auto window = runner_.deliveries().window_stats(
-      phase_start_sim_ns, runner_.sim().now().ns());
+  const std::int64_t now_ns = runner_.sim().now().ns();
+  const auto window =
+      runner_.deliveries().window_stats(phase_start_sim_ns, now_ns);
   ps.delivered = window.delivered;
   ps.latency_p50_ms = window.p50_s * 1e3;
   ps.latency_p95_ms = window.p95_s * 1e3;
@@ -242,57 +207,13 @@ void ScenarioEngine::finish_phase(std::uint32_t pi, PhaseStats& ps,
   ps.hash_epoch_lag_end =
       active == 0 ? 0.0 : lag / static_cast<double>(active);
   ps.mean_degree_end = net.topology().mean_degree();
-  health_.push_back(sample_health(phase.name, phase_start_sim_ns));
+  health_.push_back(core::probe_health(runner_, phase.name, now_ns,
+                                       phase_start_sim_ns, now_ns));
   if (!(phase.mobility && spec_.motion.model != MotionModel::kNone)) {
     // No epoch sampling ran: charge the end-of-phase census for the
     // whole window instead.
     ps.orphan_node_s = static_cast<double>(orphans) * phase.duration_s;
   }
-}
-
-obs::HealthSample ScenarioEngine::sample_health(
-    const std::string& phase_name, std::int64_t phase_start_sim_ns) {
-  const std::int64_t now_ns = runner_.sim().now().ns();
-  if (!accum_live_) {
-    return core::probe_health(runner_, phase_name, now_ns, phase_start_sim_ns,
-                              now_ns);
-  }
-  obs::HealthSample s = accum_.sample();
-  s.t_ns = now_ns;
-  s.phase = phase_name;
-  const auto window =
-      runner_.deliveries().window_stats(phase_start_sim_ns, now_ns);
-  s.delivered = window.delivered;
-  s.latency_p50_ms = window.p50_s * 1e3;
-  s.latency_p95_ms = window.p95_s * 1e3;
-  if (health_cross_check_) {
-    const obs::HealthSample ref = core::probe_health(
-        runner_, phase_name, now_ns, phase_start_sim_ns, now_ns);
-    const bool match =
-        s.active_nodes == ref.active_nodes && s.live_links == ref.live_links &&
-        s.secured_links == ref.secured_links &&
-        s.secured_link_fraction == ref.secured_link_fraction &&
-        s.key_components == ref.key_components &&
-        s.largest_component == ref.largest_component &&
-        s.delivered == ref.delivered && s.epoch_skew == ref.epoch_skew &&
-        s.epoch_mean == ref.epoch_mean;
-    if (!match) {
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    "health cross-check mismatch in phase '%s': "
-                    "incremental {act=%u live=%u sec=%u comp=%u big=%u "
-                    "skew=%llu} vs probe {act=%u live=%u sec=%u comp=%u "
-                    "big=%u skew=%llu}",
-                    phase_name.c_str(), s.active_nodes, s.live_links,
-                    s.secured_links, s.key_components, s.largest_component,
-                    static_cast<unsigned long long>(s.epoch_skew),
-                    ref.active_nodes, ref.live_links, ref.secured_links,
-                    ref.key_components, ref.largest_component,
-                    static_cast<unsigned long long>(ref.epoch_skew));
-      throw std::logic_error(buf);
-    }
-  }
-  return s;
 }
 
 ScenarioStats ScenarioEngine::run() {
@@ -303,18 +224,6 @@ ScenarioStats ScenarioEngine::run() {
 
   runner_.run_key_setup();
   runner_.run_routing_setup();
-
-  // Incremental health needs the per-epoch edge diffs, which only the
-  // incremental topology path produces.
-  const bool health_incremental =
-      health_mode_ == HealthMaintenance::kIncremental &&
-      topo_mode_ == TopologyMaintenance::kIncremental;
-  detach_health_listener();
-  if (health_incremental) {
-    resync_health();
-    runner_.network().set_audit_listener(&accum_);
-    accum_live_ = true;
-  }
 
   digest_ = timeline_.digest();
   digest_ = mobility_.fold_digest(digest_);  // initial placement
@@ -380,9 +289,6 @@ ScenarioStats ScenarioEngine::run() {
       runner_.run_recluster_round();
       ps.reclustered = 1;
       ++stats_.reclusters;
-      // The recluster commit swaps every node's key set atomically with
-      // no audit coverage: re-mirror from ground truth.
-      if (accum_live_) resync_health();
     }
 
     scenario_clock_s = ps.end_s;
@@ -400,7 +306,6 @@ ScenarioStats ScenarioEngine::run() {
     stats_.fails += ps.fails;
   }
   stats_.trace_digest = digest_;
-  detach_health_listener();
   return stats_;
 }
 

@@ -18,7 +18,6 @@
 #include "core/health_probe.hpp"
 #include "core/runner.hpp"
 #include "obs/audit.hpp"
-#include "obs/health_accum.hpp"
 #include "obs/json.hpp"
 #include "scenario/mobility.hpp"
 #include "scenario/spec.hpp"
@@ -99,32 +98,18 @@ class ScenarioEngine {
   /// benchmarks compare against.  Both produce bit-identical traces.
   enum class TopologyMaintenance { kIncremental, kFullRebuild };
 
-  /// How phase-boundary HealthSamples are produced.  kIncremental reads
-  /// the audit-fed obs::HealthAccumulator (O(N) worst case);
-  /// kFullProbe runs the O(N+E) core::probe_health reference.
-  enum class HealthMaintenance { kIncremental, kFullProbe };
-
   /// \p runner must be freshly constructed from make_runner_config():
   /// the engine owns the full lifecycle (key setup, routing, phases).
   /// Throws if the runner config diverges from the spec or carries a
   /// sharded kernel (scenario events mutate cross-lane node state).
   ScenarioEngine(core::ProtocolRunner& runner, ScenarioSpec spec);
-  ~ScenarioEngine();
   ScenarioEngine(const ScenarioEngine&) = delete;
   ScenarioEngine& operator=(const ScenarioEngine&) = delete;
 
-  /// Select the maintenance regimes before run().  Incremental health
-  /// needs the topology's edge diffs, so kFullRebuild topology forces
-  /// kFullProbe health.
+  /// Select the topology maintenance regime before run().
   void set_topology_maintenance(TopologyMaintenance mode) noexcept {
     topo_mode_ = mode;
   }
-  void set_health_maintenance(HealthMaintenance mode) noexcept {
-    health_mode_ = mode;
-  }
-  /// Cross-check mode: every incremental HealthSample is verified
-  /// field-by-field against the full-recompute probe; a mismatch throws.
-  void set_health_cross_check(bool on) noexcept { health_cross_check_ = on; }
 
   /// Deployment config matching \p spec, so the graph-level replay can
   /// reproduce the node placement from the same seed.
@@ -136,27 +121,16 @@ class ScenarioEngine {
   [[nodiscard]] const ScenarioStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const Timeline& timeline() const noexcept { return timeline_; }
   /// One HealthSample per phase, taken at the phase boundary (after the
-  /// forced wake-up and heal, before any recluster round).  The delivery
-  /// window covers envelopes originated inside the phase.
+  /// forced wake-up and heal, before any recluster round) by one full
+  /// core::probe_health walk: O(N+E), paid only where the gauges are
+  /// read, so key events and edge flips between samples cost nothing
+  /// extra.  The delivery window covers envelopes originated inside the
+  /// phase.
   [[nodiscard]] const std::vector<obs::HealthSample>& health() const noexcept {
     return health_;
   }
 
  private:
-  /// Adapts net::Topology to the obs-layer NeighborSource interface
-  /// (obs cannot depend on net).
-  class TopologySource : public obs::HealthAccumulator::NeighborSource {
-   public:
-    explicit TopologySource(const net::Topology& topo) : topo_(topo) {}
-    [[nodiscard]] std::span<const std::uint32_t> neighbors_of(
-        std::uint32_t id) const override {
-      return topo_.neighbors(id);
-    }
-
-   private:
-    const net::Topology& topo_;
-  };
-
   void apply_event(const Event& ev, PhaseStats& ps);
   void schedule_motion_epochs(sim::SimTime phase_end, double epoch_s,
                               PhaseStats& ps);
@@ -164,20 +138,11 @@ class ScenarioEngine {
                     const core::DataPlaneStats& dp_stats,
                     std::int64_t phase_start_sim_ns);
   [[nodiscard]] std::uint32_t global_hash_epoch() const noexcept;
-  /// Pushes every node's ground-truth key/epoch/radio state into the
-  /// accumulator (setup and recluster boundaries, where key state moves
-  /// without audit coverage).
-  void resync_health();
-  [[nodiscard]] obs::HealthSample sample_health(
-      const std::string& phase_name, std::int64_t phase_start_sim_ns);
-  void detach_health_listener() noexcept;
 
   core::ProtocolRunner& runner_;
   ScenarioSpec spec_;
   Timeline timeline_;
   MobilityField mobility_;
-  TopologySource topo_source_;
-  obs::HealthAccumulator accum_;
   ScenarioStats stats_;
   std::vector<obs::HealthSample> health_;
   std::uint64_t digest_ = 0;
@@ -185,10 +150,6 @@ class ScenarioEngine {
   const core::DataPlaneEngine* current_dp_ = nullptr;
   std::vector<net::NodeId> phase_join_ids_;
   TopologyMaintenance topo_mode_ = TopologyMaintenance::kIncremental;
-  HealthMaintenance health_mode_ = HealthMaintenance::kIncremental;
-  bool health_cross_check_ = false;
-  bool accum_live_ = false;  ///< listener installed for the current run
-  std::vector<net::EdgeChange> edge_diff_;
 };
 
 }  // namespace ldke::scenario

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/runner.hpp"
@@ -210,32 +211,28 @@ struct ModeRun {
   std::vector<obs::HealthSample> health;
 };
 
-ModeRun run_with_modes(const ScenarioSpec& spec, std::uint64_t seed,
-                       ScenarioEngine::TopologyMaintenance topo,
-                       ScenarioEngine::HealthMaintenance health) {
+ModeRun run_with_mode(const ScenarioSpec& spec, std::uint64_t seed,
+                      ScenarioEngine::TopologyMaintenance topo) {
   core::RunnerConfig config = ScenarioEngine::make_runner_config(spec, seed);
   core::ProtocolRunner runner{config};
   ScenarioEngine engine{runner, spec};
   engine.set_topology_maintenance(topo);
-  engine.set_health_maintenance(health);
   ModeRun out;
   out.stats = engine.run();
   out.health = engine.health();
   return out;
 }
 
-/// The tentpole acceptance gate: the incremental topology + audit-fed
-/// health path produces the same trace digest, the same stats JSON and
-/// the same health samples as the full-rebuild / full-probe reference.
+/// The incremental topology path produces the same trace digest, the
+/// same stats JSON and the same health samples as the full-rebuild
+/// reference.
 TEST(ScenarioEngine, IncrementalPathMatchesFullRebuildBitForBit) {
   ScenarioSpec spec = small_spec();
   spec.data.evict_interval_s = 0.9;  // eviction wave inside the storm
-  const ModeRun incremental =
-      run_with_modes(spec, 7, ScenarioEngine::TopologyMaintenance::kIncremental,
-                     ScenarioEngine::HealthMaintenance::kIncremental);
-  const ModeRun full =
-      run_with_modes(spec, 7, ScenarioEngine::TopologyMaintenance::kFullRebuild,
-                     ScenarioEngine::HealthMaintenance::kFullProbe);
+  const ModeRun incremental = run_with_mode(
+      spec, 7, ScenarioEngine::TopologyMaintenance::kIncremental);
+  const ModeRun full = run_with_mode(
+      spec, 7, ScenarioEngine::TopologyMaintenance::kFullRebuild);
 
   EXPECT_EQ(incremental.stats.trace_digest, full.stats.trace_digest);
   EXPECT_EQ(incremental.stats.to_json().dump(), full.stats.to_json().dump());
@@ -262,64 +259,124 @@ TEST(ScenarioEngine, IncrementalPathMatchesFullRebuildBitForBit) {
   }
 }
 
-TEST(ScenarioEngine, CrossCheckModeAgreesThroughChurnAndEvictions) {
-  // Cross-check runs the O(N+E) probe next to the audit-fed mirror at
-  // every sample and throws std::logic_error on any field mismatch, so
-  // completing the run *is* the assertion.  The spec stacks the hard
-  // cases: mobility, churn, duty sleepers, a partition wave, eviction,
-  // and a mid-run recluster (which resyncs the mirror from ground
-  // truth).
+/// Per-link oracle for the one-way key chain (DESIGN.md §10).  Every
+/// stored key for cluster c at hash epoch e is F^e(K0_c), so on every
+/// live link (both ends active, in range) "both ends hold some cluster
+/// id at the same hash epoch" must agree with "both ends hold byte-equal
+/// keys for some shared cluster id".  A key committed off the chain —
+/// a §IV-E join candidate that missed a §IV-C refresh, or one that
+/// straddled a recluster swap — shows up as a cid and epoch match with
+/// unequal bytes.  The check runs from a self-rescheduling event, so it
+/// sees mid-run states that a phase-boundary sample never would.
+struct LinkOracle {
+  std::uint64_t probes = 0;
+  std::uint64_t links = 0;    ///< live links visited, over all probes
+  std::uint64_t secured = 0;  ///< of which both ends hold equal key bytes
+  std::uint64_t mismatches = 0;
+  std::string first_mismatch;
+
+  LinkOracle() = default;
+  LinkOracle(const LinkOracle&) = delete;  // scheduled events hold `this`
+  LinkOracle& operator=(const LinkOracle&) = delete;
+
+  /// Checks at \p at and every \p period after it.  The chain only
+  /// reads node state, so the run is the one the engine makes alone.
+  void arm(core::ProtocolRunner& runner, sim::SimTime at,
+           sim::SimTime period) {
+    runner.sim().schedule_at(at, [this, &runner, at, period] {
+      check(runner);
+      arm(runner, at + period, period);
+    });
+  }
+
+  void check(core::ProtocolRunner& runner) {
+    ++probes;
+    const net::Network& net = runner.network();
+    for (net::NodeId u = 0; u < runner.node_count(); ++u) {
+      if (!net.is_active(u)) continue;
+      const core::SensorNode& a = runner.node(u);
+      for (const net::NodeId v : net.topology().neighbors(u)) {
+        if (v <= u || !net.is_active(v)) continue;
+        const core::SensorNode& b = runner.node(v);
+        bool same_cid = false;
+        bool same_key = false;
+        for (const auto& [cid, key] : a.keys().all()) {
+          const auto other = b.keys().key_for(cid);
+          if (!other) continue;
+          same_cid = true;
+          same_key = same_key || *other == key;
+        }
+        const bool by_epoch = same_cid && a.hash_epoch() == b.hash_epoch();
+        ++links;
+        if (same_key) ++secured;
+        if (by_epoch != same_key && mismatches++ == 0) {
+          first_mismatch = "t=" + std::to_string(runner.sim().now().ns()) +
+                           "ns link " + std::to_string(u) + "-" +
+                           std::to_string(v) + " epochs " +
+                           std::to_string(a.hash_epoch()) + "/" +
+                           std::to_string(b.hash_epoch()) +
+                           (same_key ? " bytes equal" : " bytes differ");
+        }
+      }
+    }
+  }
+};
+
+/// Runs \p spec under the oracle (every 50 ms of simulated time, and
+/// once after run()) and expects it clean; returns the stats for the
+/// caller's own checks.
+ScenarioStats run_under_oracle(const ScenarioSpec& spec, std::uint64_t seed) {
+  LinkOracle oracle;  // outlives the runner and its pending events
+  core::ProtocolRunner runner{ScenarioEngine::make_runner_config(spec, seed)};
+  ScenarioEngine engine{runner, spec};
+  const sim::SimTime period = sim::SimTime::from_seconds(0.05);
+  oracle.arm(runner, period, period);
+  const ScenarioStats stats = engine.run();
+  const std::uint64_t mid_run = oracle.probes;
+  oracle.check(runner);
+  // The chain ran through every phase, and both sides of the
+  // equivalence were exercised: secured links, and live links left
+  // unsecured.
+  EXPECT_GE(mid_run, static_cast<std::uint64_t>(stats.duration_s / 0.05))
+      << "seed " << seed;
+  EXPECT_GT(oracle.secured, 0u) << "seed " << seed;
+  EXPECT_GT(oracle.links, oracle.secured) << "seed " << seed;
+  EXPECT_EQ(oracle.mismatches, 0u)
+      << "seed " << seed << ": first mismatch " << oracle.first_mismatch;
+  return stats;
+}
+
+TEST(ScenarioEngine, LinkOracleHoldsThroughChurnAndEvictions) {
+  // The spec stacks the hard cases: mobility, churn, duty sleepers, a
+  // partition wave, eviction, and a mid-run recluster.
   ScenarioSpec spec = small_spec();
   spec.data.evict_interval_s = 0.9;
-  core::RunnerConfig config = ScenarioEngine::make_runner_config(spec, 7);
-  core::ProtocolRunner runner{config};
-  ScenarioEngine engine{runner, spec};
-  engine.set_health_cross_check(true);
-  ScenarioStats stats;
-  EXPECT_NO_THROW(stats = engine.run());
+  const ScenarioStats stats = run_under_oracle(spec, 7);
   ASSERT_EQ(stats.phases.size(), 3u);
   EXPECT_GT(stats.phases[1].leaves + stats.phases[1].fails, 0u);
   EXPECT_EQ(stats.reclusters, 1u);
+  // The oracle only reads: the run is the one the engine makes alone.
+  EXPECT_EQ(stats.to_json().dump(), run_once(spec, 7).to_json().dump());
 }
 
-TEST(ScenarioEngine, CrossCheckSurvivesJoinsStraddlingRecluster) {
+TEST(ScenarioEngine, LinkOracleHoldsForJoinsStraddlingRecluster) {
   // Regression: a §IV-E join window that straddles a §IV-C recluster
   // used to commit pre-rotation candidate keys — a permanently
-  // unauthenticatable "member" the byte-walking probe saw as unsecured
-  // while the mirror's cid+epoch predicate counted it secured.  The
-  // recluster now voids in-flight join buffers, defers §IV-E replies
-  // while a round is active, and resets the reply guard at the swap so
-  // the retry lands in the new epoch.  A join rate this high against a
-  // 0.25 s join window guarantees straddles (pre-fix this spec trips
-  // the cross-check on nearly every seed).
+  // unauthenticatable "member" whose cid and epoch match its neighbors'
+  // while its key bytes do not.  The recluster now voids in-flight join
+  // buffers, defers §IV-E replies while a round is active, and resets
+  // the reply guard at the swap so the retry lands in the new epoch.  A
+  // join rate this high against a 0.25 s join window guarantees
+  // straddles.
   ScenarioSpec spec = small_spec();
   spec.churn = {1.0, 0.5, 12.0};
   spec.phases[1].duty = false;
   spec.phases[1].events.clear();
   for (const std::uint64_t seed : {1u, 3u, 7u}) {
-    core::RunnerConfig config = ScenarioEngine::make_runner_config(spec, seed);
-    core::ProtocolRunner runner{config};
-    ScenarioEngine engine{runner, spec};
-    engine.set_health_cross_check(true);
-    ScenarioStats stats;
-    EXPECT_NO_THROW(stats = engine.run()) << "seed " << seed;
+    const ScenarioStats stats = run_under_oracle(spec, seed);
     EXPECT_GT(stats.joins, 0u) << "seed " << seed;
     EXPECT_EQ(stats.reclusters, 1u) << "seed " << seed;
   }
-}
-
-TEST(ScenarioEngine, IncrementalHealthFallsBackWithFullRebuildTopology) {
-  // Incremental health needs the edge diff that only the incremental
-  // topology path produces; with full rebuilds the engine silently uses
-  // the probe.  Results still match the all-incremental run exactly.
-  const ScenarioSpec spec = small_spec();
-  const ModeRun mixed =
-      run_with_modes(spec, 7, ScenarioEngine::TopologyMaintenance::kFullRebuild,
-                     ScenarioEngine::HealthMaintenance::kIncremental);
-  const ModeRun incremental =
-      run_with_modes(spec, 7, ScenarioEngine::TopologyMaintenance::kIncremental,
-                     ScenarioEngine::HealthMaintenance::kIncremental);
-  EXPECT_EQ(mixed.stats.to_json().dump(), incremental.stats.to_json().dump());
 }
 
 TEST(ScenarioEngine, RefusesShardedKernels) {

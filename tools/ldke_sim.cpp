@@ -60,7 +60,6 @@ struct CliOptions {
   bool scalar = false;       ///< steady: per-packet pipeline, not batched
   bool baselines = false;    ///< scenario: add the graph-level replays
   bool full_rebuild = false;  ///< scenario: per-epoch full topology rebuild
-  bool health_check = false;  ///< scenario: cross-check health samples
   std::string summary_path;  ///< RunSummary JSON destination ("" = off)
   std::string trace_path;    ///< JSONL trace destination ("" = off)
 };
@@ -87,10 +86,8 @@ int usage() {
       "  --scalar    steady: per-packet scalar pipeline (default batched)\n"
       "  --baselines scenario: graph-replay the baseline key schemes on "
       "the same trace\n"
-      "  --full-rebuild  scenario: rebuild topology + probe health from "
-      "scratch each epoch (reference mode)\n"
-      "  --health-check  scenario: cross-check incremental health against "
-      "the full probe\n"
+      "  --full-rebuild  scenario: rebuild topology from scratch each "
+      "epoch\n"
       "  --csv       machine-readable output\n"
       "  --summary <file>  write the RunSummary JSON artifact\n"
       "  --trace <file>    write the versioned JSONL trace "
@@ -133,8 +130,6 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
       opt.baselines = true;
     } else if (arg == "--full-rebuild") {
       opt.full_rebuild = true;
-    } else if (arg == "--health-check") {
-      opt.health_check = true;
     } else if (arg == "--collisions") {
       opt.collisions = true;
     } else if (arg == "--csv") {
@@ -439,10 +434,7 @@ int cmd_scenario(const CliOptions& opt, const std::string& path) {
   if (opt.full_rebuild) {
     engine.set_topology_maintenance(
         scenario::ScenarioEngine::TopologyMaintenance::kFullRebuild);
-    engine.set_health_maintenance(
-        scenario::ScenarioEngine::HealthMaintenance::kFullProbe);
   }
-  engine.set_health_cross_check(opt.health_check);
   net::PacketTrace trace{1 << 20};
   obs::AuditSink audit;
   if (!opt.trace_path.empty()) {
