@@ -123,6 +123,22 @@ void ScenarioEngine::apply_event(const Event& ev, PhaseStats& ps) {
   }
 }
 
+void ScenarioEngine::schedule_timeline_event(std::size_t i) {
+  const auto at =
+      sim::SimTime::from_ns(stream_.offset_ns + stream_.events[i].t_ns);
+  auto fn = [this, i] {
+    // Push the successor before applying this event.  Its key
+    // (t[i+1], seq_base + i + 1) sorts after this event's, and nothing
+    // keyed after this event has run yet, so it runs exactly where the
+    // whole timeline scheduled at phase start would have put it.
+    if (i + 1 < stream_.events.size()) schedule_timeline_event(i + 1);
+    apply_event(stream_.events[i], *stream_.stats);
+  };
+  static_assert(sizeof(fn) <= sim::EventFn::kInlineBytes,
+                "timeline event must stay within EventFn's inline buffer");
+  runner_.sim().schedule_reserved(at, stream_.seq_base + i, std::move(fn));
+}
+
 void ScenarioEngine::schedule_motion_epochs(sim::SimTime phase_end,
                                             double epoch_s, PhaseStats& ps) {
   sim::Simulator& sim = runner_.sim();
@@ -253,15 +269,16 @@ ScenarioStats ScenarioEngine::run() {
     const std::int64_t phase_start_sim_ns = sim.now().ns();
     const sim::SimTime phase_end =
         sim.now() + sim::SimTime::from_seconds(phase.duration_s);
-    const std::int64_t tl_start = timeline_.phase_start_ns(pi);
-    // Timeline events first, motion driver second: at coincident
-    // timestamps the scheduler runs in insertion order, and the graph
-    // replay applies events before the epoch the same way.
-    for (const Event& ev : timeline_.phase_events(pi)) {
-      const auto at =
-          sim::SimTime::from_ns(phase_start_sim_ns + (ev.t_ns - tl_start));
-      sim.schedule_at(at, [this, ev, &ps] { apply_event(ev, ps); });
-    }
+    // Timeline events first, motion driver second: the phase's timeline
+    // takes the next block of sequence numbers, so at coincident
+    // timestamps every timeline event runs before the drivers scheduled
+    // below, as the graph replay applies events before the epoch.  The
+    // events themselves are streamed: only the next one due is pending.
+    stream_.events = timeline_.phase_events(pi);
+    stream_.offset_ns = phase_start_sim_ns - timeline_.phase_start_ns(pi);
+    stream_.seq_base = sim.reserve_sequence(stream_.events.size());
+    stream_.stats = &ps;
+    if (!stream_.events.empty()) schedule_timeline_event(0);
     if (phase.mobility && spec_.motion.model != MotionModel::kNone) {
       schedule_motion_epochs(phase_end, spec_.motion.epoch_s, ps);
     }

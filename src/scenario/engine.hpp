@@ -11,6 +11,7 @@
 /// and the graph-level baseline replay reproduces the same trace digest.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,9 @@ class ScenarioEngine {
 
  private:
   void apply_event(const Event& ev, PhaseStats& ps);
+  /// Schedules timeline event \p i of the running phase under its
+  /// reserved sequence number; when it runs it schedules event i + 1.
+  void schedule_timeline_event(std::size_t i);
   void schedule_motion_epochs(sim::SimTime phase_end, double epoch_s,
                               PhaseStats& ps);
   void finish_phase(std::uint32_t pi, PhaseStats& ps,
@@ -148,6 +152,15 @@ class ScenarioEngine {
   std::uint64_t digest_ = 0;
   std::uint32_t hash_epochs_done_ = 0;  ///< refresh rounds before this phase
   const core::DataPlaneEngine* current_dp_ = nullptr;
+  /// The running phase's timeline slice and where it lands in the
+  /// scheduler: sim time = offset_ns + t_ns, event i under sequence
+  /// number seq_base + i.
+  struct TimelineStream {
+    std::span<const Event> events;
+    std::int64_t offset_ns = 0;
+    std::uint64_t seq_base = 0;
+    PhaseStats* stats = nullptr;
+  } stream_;
   std::vector<net::NodeId> phase_join_ids_;
   TopologyMaintenance topo_mode_ = TopologyMaintenance::kIncremental;
 };

@@ -5,7 +5,11 @@
 
 namespace ldke::sim {
 
-EventId Scheduler::schedule(SimTime when, EventFn action) {
+// Forced inline into both callers: schedule() is on every event's path,
+// and an out-of-line push would add a call and an EventFn move to it.
+[[gnu::always_inline]] inline EventId Scheduler::push(SimTime when,
+                                                      std::uint64_t seq,
+                                                      EventFn&& action) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -19,10 +23,20 @@ EventId Scheduler::schedule(SimTime when, EventFn action) {
   s.live = true;
   const EventId id =
       (static_cast<EventId>(s.generation) << 32) | (slot + 1ULL);
-  heap_.push(Entry{when, next_seq_++, id});
+  heap_.push(Entry{when, seq, id});
   ++live_;
   if (live_ > high_water_) high_water_ = live_;
   return id;
+}
+
+EventId Scheduler::schedule(SimTime when, EventFn action) {
+  return push(when, next_seq_++, std::move(action));
+}
+
+EventId Scheduler::schedule_reserved(SimTime when, std::uint64_t seq,
+                                     EventFn action) {
+  assert(seq < next_seq_ && "sequence number was never reserved");
+  return push(when, seq, std::move(action));
 }
 
 bool Scheduler::is_live(EventId id) const noexcept {

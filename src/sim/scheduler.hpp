@@ -1,8 +1,11 @@
 #pragma once
 /// \file scheduler.hpp
 /// Pending-event set: a binary heap of (time, sequence) ordered events.
-/// Equal-time events run in scheduling order (stable), which keeps trials
-/// bit-reproducible.
+/// Equal-time events run in sequence-number order, which keeps trials
+/// bit-reproducible.  schedule() numbers events in call order; a caller
+/// that streams a precomputed event list can reserve a block of numbers
+/// up front and push each event later under its own number, so the list
+/// ties with other events as if it had been scheduled all at once.
 ///
 /// Layout: the heap holds 24-byte POD entries; the callables live in a
 /// slot slab indexed by the low half of the EventId.  The high half is a
@@ -33,6 +36,21 @@ class Scheduler {
   /// EventFn keeps typical captures inline (no allocation per event).
   EventId schedule(SimTime when, EventFn action);
 
+  /// Reserves \p n consecutive sequence numbers and returns the first;
+  /// schedule() numbering continues after the block.  An event pushed
+  /// later with schedule_reserved() under one of them ties at equal
+  /// times exactly as if it had been scheduled at reservation time.
+  std::uint64_t reserve_sequence(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedules \p action at \p when under \p seq, a number from an
+  /// earlier reserve_sequence() block.  Each reserved number is used at
+  /// most once.
+  EventId schedule_reserved(SimTime when, std::uint64_t seq, EventFn action);
+
   /// Cancels a pending event; returns false if already run/cancelled.
   bool cancel(EventId id);
 
@@ -56,7 +74,7 @@ class Scheduler {
  private:
   struct Entry {
     SimTime when;
-    std::uint64_t seq;  ///< global scheduling order: stable tie-break
+    std::uint64_t seq;  ///< scheduling or reserved order: stable tie-break
     EventId id;
 
     // Min-heap on (when, seq): std::priority_queue is a max-heap, so the
@@ -80,6 +98,8 @@ class Scheduler {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
+  /// Stores \p action in a slot and pushes its heap entry under \p seq.
+  EventId push(SimTime when, std::uint64_t seq, EventFn&& action);
   [[nodiscard]] bool is_live(EventId id) const noexcept;
   /// Retires a slot after run/cancel; the next schedule() may reuse it
   /// under a bumped generation.

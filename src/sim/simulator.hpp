@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -67,6 +69,23 @@ class Simulator {
   EventId schedule_at(SimTime when, EventFn action) {
     if (kernel_) return kernel_->schedule(when, std::move(action));
     return scheduler_.schedule(when, std::move(action));
+  }
+
+  /// Reserves \p n consecutive sequence numbers for schedule_reserved();
+  /// see Scheduler::reserve_sequence.  Serial loop only: lanes number
+  /// their events independently, so a reserved tie has no meaning
+  /// across them.
+  std::uint64_t reserve_sequence(std::uint64_t n) {
+    require_serial("reserve_sequence");
+    return scheduler_.reserve_sequence(n);
+  }
+
+  /// Schedules \p action at absolute time \p when (must be >= now)
+  /// under a number from reserve_sequence().  Serial loop only.
+  EventId schedule_reserved(SimTime when, std::uint64_t seq,
+                            EventFn action) {
+    require_serial("schedule_reserved");
+    return scheduler_.schedule_reserved(when, seq, std::move(action));
   }
 
   bool cancel(EventId id) {
@@ -133,6 +152,14 @@ class Simulator {
  private:
   static double sim_time_of(const void* ctx) noexcept {
     return static_cast<const Simulator*>(ctx)->now().seconds();
+  }
+
+  void require_serial(const char* what) const {
+    if (kernel_) {
+      throw std::logic_error(
+          std::string("Simulator::") + what +
+          " needs the serial event loop (kernel lanes == 1)");
+    }
   }
 
   Scheduler scheduler_;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -376,6 +379,115 @@ TEST(ScenarioEngine, LinkOracleHoldsForJoinsStraddlingRecluster) {
     const ScenarioStats stats = run_under_oracle(spec, seed);
     EXPECT_GT(stats.joins, 0u) << "seed " << seed;
     EXPECT_EQ(stats.reclusters, 1u) << "seed " << seed;
+  }
+}
+
+/// The sim instant \p at_s into the first phase.  Phase 0 starts where
+/// key and routing setup leave the clock, which a twin deployment of
+/// the same config reproduces before the engine under test runs.
+sim::SimTime first_phase_instant(const ScenarioSpec& spec, std::uint64_t seed,
+                                 double at_s) {
+  core::ProtocolRunner twin{ScenarioEngine::make_runner_config(spec, seed)};
+  twin.run_key_setup();
+  twin.run_routing_setup();
+  return twin.sim().now() + sim::SimTime::from_seconds(at_s);
+}
+
+/// One duty-cycled phase of \p duration_s, flipping every node several
+/// times per second.
+ScenarioSpec dozing_spec(double duration_s, double period_s) {
+  ScenarioSpec spec;
+  spec.name = "dozing";
+  spec.nodes = 300;
+  spec.density = 10.0;
+  spec.side_m = 650.0;
+  spec.duty = {period_s, 0.7};
+  PhaseSpec phase;
+  phase.name = "dozing";
+  phase.duration_s = duration_s;
+  phase.duty = true;
+  spec.phases = {phase};
+  return spec;
+}
+
+/// The timeline is streamed one event at a time, yet a timeline event
+/// keeps its place among equal-time events.  A test event pushed
+/// mid-phase for the exact instant of a scripted partition takes a
+/// fresh sequence number, so it must see the wall, exactly as if the
+/// whole timeline had been scheduled at phase start.  The duty flips
+/// between the push and the wall give the check teeth: a stream that
+/// numbered each event when its predecessor ran would put the wall
+/// after the test event.
+TEST(ScenarioEngine, MidPhaseEventAtAScriptedInstantSeesIt) {
+  ScenarioSpec spec = dozing_spec(1.0, 0.2);
+  spec.phases[0].events.push_back(
+      {ScriptedEvent::Kind::kPartition, 0.5, 300.0});
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const sim::SimTime wall_at = first_phase_instant(spec, seed, 0.5);
+    const sim::SimTime push_at = wall_at - sim::SimTime::from_seconds(0.4);
+    core::ProtocolRunner runner{ScenarioEngine::make_runner_config(spec, seed)};
+    obs::AuditSink audit;
+    runner.network().set_audit_sink(&audit);
+    ScenarioEngine engine{runner, spec};
+    sim::Simulator& sim = runner.sim();
+    bool probed = false;
+    std::optional<double> wall;
+    sim.schedule_at(push_at, [&] {
+      sim.schedule_at(wall_at, [&] {
+        probed = true;
+        wall = runner.network().partition_x();
+      });
+    });
+    const ScenarioStats stats = engine.run();
+    ASSERT_TRUE(probed) << "seed " << seed;
+    EXPECT_EQ(wall, std::optional<double>{300.0}) << "seed " << seed;
+    EXPECT_EQ(stats.phases[0].partitions, 1u) << "seed " << seed;
+    std::uint64_t flips_between = 0;
+    for (const obs::AuditEvent& ev : audit.merged()) {
+      const bool flip = ev.kind == obs::AuditKind::kSleep ||
+                        ev.kind == obs::AuditKind::kWake;
+      if (flip && ev.t_ns > push_at.ns() && ev.t_ns < wall_at.ns()) {
+        ++flips_between;
+      }
+    }
+    EXPECT_GT(flips_between, 0u) << "seed " << seed;
+  }
+}
+
+/// Only the next due timeline event is ever pending, so the deepest
+/// queue sampled through a duty-cycled phase whose timeline holds 20x
+/// the node count stays under a bound set by the deployment, whatever
+/// the phase length.  An engine that scheduled the whole timeline at
+/// phase start would read about the timeline length here.
+TEST(ScenarioEngine, StreamedTimelineKeepsTheQueueBounded) {
+  for (const double duration_s : {2.0, 4.0}) {
+    const ScenarioSpec spec = dozing_spec(duration_s, 0.1);
+    const std::uint64_t seed = 5;
+    const std::size_t timeline_events =
+        Timeline::expand(spec, seed).events().size();
+    ASSERT_GE(timeline_events, 20 * spec.nodes);
+    const sim::SimTime start = first_phase_instant(spec, seed, 0.0);
+    const sim::SimTime end = start + sim::SimTime::from_seconds(duration_s);
+    core::ProtocolRunner runner{ScenarioEngine::make_runner_config(spec, seed)};
+    ScenarioEngine engine{runner, spec};
+    sim::Simulator& sim = runner.sim();
+    std::size_t samples = 0;
+    std::size_t deepest = 0;
+    const sim::SimTime period = sim::SimTime::from_seconds(0.01);
+    std::function<void(sim::SimTime)> sample = [&](sim::SimTime at) {
+      if (at >= end) return;
+      sim.schedule_at(at, [&, at] {
+        ++samples;
+        deepest = std::max(deepest, sim.pending_events());
+        sample(at + period);
+      });
+    };
+    sample(start + period);
+    engine.run();
+    EXPECT_GE(samples, static_cast<std::size_t>(duration_s / 0.01) - 1);
+    EXPECT_LT(deepest, spec.nodes)
+        << duration_s << " s phase, " << timeline_events
+        << " timeline events";
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 namespace ldke::scenario {
 namespace {
@@ -112,6 +113,27 @@ TEST(Timeline, FullyActiveDutyGeneratesNothing) {
     EXPECT_NE(ev.kind, EventKind::kSleep);
     EXPECT_NE(ev.kind, EventKind::kWake);
   }
+}
+
+/// Pins the canonical order (time, kind, node, then generation order)
+/// on a spec that exercises every tie-break: churn in both phases, duty
+/// cycling, and two walls raised at the same instant, which only
+/// generation order separates.  The digest and count were computed by
+/// the index-sort expansion this one replaced.
+TEST(Timeline, CanonicalOrderIsPinned) {
+  ScenarioSpec spec = dynamic_spec();
+  spec.phases[0].churn = true;
+  spec.phases[1].events.push_back(
+      {ScriptedEvent::Kind::kPartition, 0.5, 125.0});
+  const Timeline tl = Timeline::expand(spec, 5);
+  EXPECT_EQ(tl.events().size(), 657u);
+  EXPECT_EQ(tl.digest(), 0x732c4245413384a7ULL);
+
+  std::vector<double> walls;
+  for (const Event& ev : tl.phase_events(1)) {
+    if (ev.kind == EventKind::kPartition) walls.push_back(ev.pos.x);
+  }
+  EXPECT_EQ(walls, (std::vector<double>{250.0, 125.0}));
 }
 
 TEST(Timeline, RejectsInvalidSpecs) {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -170,6 +171,83 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   for (std::size_t i = 1; i < times.size(); ++i) {
     EXPECT_LE(times[i - 1], times[i]);
   }
+}
+
+// --- Reserved sequence numbers ----------------------------------------------
+
+TEST(Scheduler, ReservedEventTiesByItsReservedNumber) {
+  Scheduler s;
+  std::vector<int> order;
+  const SimTime t = SimTime::from_ms(5);
+  s.schedule(t, [&] { order.push_back(0); });        // number 0
+  const std::uint64_t base = s.reserve_sequence(2);  // numbers 1 and 2
+  s.schedule(t, [&] { order.push_back(3); });        // number 3
+  // Pushed after both plain events, yet each runs after the smaller
+  // number and before the larger one.
+  s.schedule_reserved(t, base + 1, [&] { order.push_back(2); });
+  s.schedule_reserved(t, base, [&] { order.push_back(1); });
+  while (!s.empty()) s.run_next();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Scheduler, ReservedChainRunsWhereAnUpfrontScheduleWould) {
+  // Three equal-time events streamed one at a time: each pushes its
+  // successor under the next reserved number while it runs.  A plain
+  // event scheduled after the reservation still runs after all three,
+  // and at most two events are ever pending.
+  Scheduler s;
+  std::vector<int> order;
+  const SimTime t = SimTime::from_ms(5);
+  const std::uint64_t base = s.reserve_sequence(3);
+  s.schedule(t, [&] { order.push_back(9); });
+  std::function<void(int)> stream = [&](int i) {
+    s.schedule_reserved(t, base + static_cast<std::uint64_t>(i), [&, i] {
+      if (i + 1 < 3) stream(i + 1);
+      order.push_back(i);
+    });
+  };
+  stream(0);
+  while (!s.empty()) s.run_next();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
+  EXPECT_EQ(s.high_water(), 2u);
+}
+
+TEST(Scheduler, ScheduleNumberingContinuesAfterAReservedBlock) {
+  Scheduler s;
+  std::vector<int> order;
+  const SimTime t = SimTime::from_ms(1);
+  EXPECT_EQ(s.reserve_sequence(0), 0u);  // reserving nothing is a no-op
+  s.schedule(t, [&] { order.push_back(0); });  // number 0
+  EXPECT_EQ(s.reserve_sequence(4), 1u);        // numbers 1..4
+  s.schedule(t, [&] { order.push_back(5); });  // number 5
+  EXPECT_EQ(s.reserve_sequence(0), 6u);
+  EXPECT_EQ(s.reserve_sequence(1), 6u);
+  // The block's last number sits between the two plain events.
+  s.schedule_reserved(t, 4, [&] { order.push_back(4); });
+  while (!s.empty()) s.run_next();
+  EXPECT_EQ(order, (std::vector<int>{0, 4, 5}));
+}
+
+TEST(Scheduler, ReservedEventsCancelAndGoStaleLikeAnyOther) {
+  Scheduler s;
+  const std::uint64_t base = s.reserve_sequence(2);
+  bool ran = false;
+  const EventId first =
+      s.schedule_reserved(SimTime::from_ms(1), base, [&] { ran = true; });
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_TRUE(s.cancel(first));
+  EXPECT_FALSE(s.cancel(first));
+  EXPECT_TRUE(s.empty());
+  // The next reserved event reuses the slot under a new generation: the
+  // old id must not cancel it.
+  const EventId second =
+      s.schedule_reserved(SimTime::from_ms(2), base + 1, [&] { ran = true; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(s.cancel(first));
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.run_next(), SimTime::from_ms(2));
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(s.cancel(second));  // already run
 }
 
 // --- EventFn: the erased callable the scheduler slab stores ---------------

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
+#include "support/thread_pool.hpp"
+
 namespace ldke::sim {
 namespace {
 
@@ -108,6 +113,30 @@ TEST(Simulator, EventsExecutedAccumulates) {
   for (int i = 0; i < 5; ++i) sim.schedule_in(SimTime::from_ms(i), [] {});
   sim.run();
   EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+TEST(Simulator, ReservedNumberOrdersAnEqualTimeEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t base = sim.reserve_sequence(1);
+  sim.schedule_at(SimTime::from_ms(2), [&] { order.push_back(2); });
+  sim.schedule_reserved(SimTime::from_ms(2), base,
+                        [&] { order.push_back(1); });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.now(), SimTime::from_ms(2));
+}
+
+TEST(Simulator, ReservedNumbersNeedTheSerialLoop) {
+  support::ThreadPool pool{2};
+  Simulator sim;
+  sim.enable_sharding(2, SimTime::from_ms(1), pool);
+  ASSERT_NE(sim.kernel(), nullptr);
+  EXPECT_THROW((void)sim.reserve_sequence(1), std::logic_error);
+  EXPECT_THROW(sim.schedule_reserved(SimTime::from_ms(1), 0, [] {}),
+               std::logic_error);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 }  // namespace
