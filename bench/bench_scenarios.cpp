@@ -467,6 +467,7 @@ int main() {
   if (!scale_sizes.empty()) {
     doc.set("sweep_identical", sweep_identical);
     doc.set("sweep_min_speedup", min_speedup);
+    doc.set("sweep_gate_nodes", static_cast<std::uint64_t>(gate_nodes));
     doc.set("sweep_mobile_fraction", mobile_fraction);
     doc.set("scale_sweep", std::move(sweep));
   }

@@ -143,14 +143,8 @@ class Network {
     return partition_x_;
   }
 
-  /// Mobility epoch: moves every node and rebuilds the topology's
-  /// neighbor lists.  \p positions must cover every deployed id.
-  void update_positions(std::span<const Vec2> positions) {
-    topology_.update_positions(positions);
-  }
-
-  /// Incremental mobility epoch: moves only the listed nodes and
-  /// patches the topology in place (see Topology::apply_displacements).
+  /// Mobility epoch: moves only the listed nodes and patches the
+  /// topology in place (see Topology::apply_displacements).
   void apply_displacements(std::span<const NodeId> moved,
                            std::span<const Vec2> new_positions) {
     topology_.apply_displacements(moved, new_positions);

@@ -6,6 +6,55 @@
 #include <numbers>
 
 namespace ldke::net {
+namespace {
+
+/// Moves \p slot to the tail of \p pool with room for \p need entries
+/// plus slack, so the next few growths stay in place; the old slot is
+/// dead weight until the pool compacts.
+template <class T, class Slot>
+void relocate(std::vector<T>& pool, Slot& slot, std::size_t need) {
+  const auto begin = static_cast<std::uint32_t>(pool.size());
+  const auto cap = static_cast<std::uint32_t>(need + need / 2 + 4);
+  pool.resize(pool.size() + cap);
+  std::copy_n(pool.begin() + slot.begin, slot.count, pool.begin() + begin);
+  slot.begin = begin;
+  slot.cap = cap;
+}
+
+/// Rewrites \p pool without dead slots, double-buffered through \p buf:
+/// every slot in order, with two slack places each so fresh patches do
+/// not immediately relocate again.
+template <class T, class Slot>
+void compact(std::vector<T>& pool, std::vector<T>& buf,
+             std::vector<Slot>& slots) {
+  std::size_t size = 2 * slots.size();
+  for (const Slot& slot : slots) size += slot.count;
+  buf.clear();
+  buf.reserve(size);
+  for (Slot& slot : slots) {
+    const auto begin = static_cast<std::uint32_t>(buf.size());
+    buf.insert(buf.end(), pool.begin() + slot.begin,
+               pool.begin() + slot.begin + slot.count);
+    buf.resize(buf.size() + 2);
+    slot.begin = begin;
+    slot.cap = slot.count + 2;
+  }
+  std::swap(pool, buf);
+}
+
+/// Whether sorted, non-empty \p list holds \p v: a binary search whose
+/// step is a conditional move, not a branch.
+bool contains(std::span<const NodeId> list, NodeId v) {
+  const NodeId* base = list.data();
+  for (std::size_t len = list.size(); len > 1;) {
+    const std::size_t half = len / 2;
+    base += base[half] <= v ? half : 0;
+    len -= half;
+  }
+  return *base == v;
+}
+
+}  // namespace
 
 double Topology::range_for_density(std::size_t count, double side,
                                    double density) noexcept {
@@ -68,104 +117,86 @@ void Topology::index_into_grid() {
   grid_dim_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(side_ / std::max(range_, 1e-9)));
   // A grid finer than ~2·sqrt(N) cells per axis leaves most cells empty
-  // while the offsets array alone would dwarf the id data, so clamp the
+  // while the cell slots alone would dwarf the entries, so clamp the
   // cell count to O(N) (neighbor scans just cover more cells per query).
   const auto count_clamp =
       static_cast<std::size_t>(
           2.0 * std::sqrt(static_cast<double>(std::max<std::size_t>(n, 1)))) +
       1;
   grid_dim_ = std::min(grid_dim_, std::min<std::size_t>(count_clamp, 4096));
-  // Counting sort into CSR: per-cell counts, prefix sums, then a fill
-  // pass in id order (which keeps every cell's ids ascending).
-  grid_offsets_.assign(grid_dim_ * grid_dim_ + 1, 0);
-  for (const Vec2& pos : positions_) ++grid_offsets_[cell_index(pos) + 1];
-  for (std::size_t c = 1; c < grid_offsets_.size(); ++c) {
-    grid_offsets_[c] += grid_offsets_[c - 1];
+  // Counting sort into exact-fit slots: per-cell counts, prefix sums,
+  // then a fill pass in id order.
+  cells_.assign(grid_dim_ * grid_dim_, Slot{});
+  for (const Vec2& pos : positions_) ++cells_[cell_index(pos)].cap;
+  std::uint32_t begin = 0;
+  for (Slot& cell : cells_) {
+    cell.begin = begin;
+    begin += cell.cap;
   }
-  grid_ids_.resize(n);
-  std::vector<std::uint32_t> cursor(grid_offsets_.begin(),
-                                    grid_offsets_.end() - 1);
+  cell_pool_.resize(n);
+  entry_of_.resize(n);
   for (NodeId id = 0; id < n; ++id) {
-    grid_ids_[cursor[cell_index(positions_[id])]++] = id;
+    Slot& cell = cells_[cell_index(positions_[id])];
+    entry_of_[id] = cell.begin + cell.count++;
+    cell_pool_[entry_of_[id]] = {positions_[id], id};
   }
-  // Any linked-cell index is stale now; the next incremental pass
-  // rebuilds it lazily.
-  grid_linked_ = false;
 }
 
-void Topology::ensure_linked_grid() {
-  if (grid_linked_) return;
-  const std::size_t n = positions_.size();
-  cell_head_.assign(grid_dim_ * grid_dim_, kNoNode);
-  grid_next_.assign(n, kNoNode);
-  grid_prev_.assign(n, kNoNode);
-  cell_of_.resize(n);
-  // Push-front in descending id order so every cell list comes out
-  // ascending — not required (scan_into sorts) but keeps walks and the
-  // CSR twin visually comparable when debugging.
-  for (NodeId id = static_cast<NodeId>(n); id-- > 0;) {
-    const auto c = static_cast<std::uint32_t>(cell_index(positions_[id]));
-    cell_of_[id] = c;
-    grid_link(id, c);
+void Topology::index_entries(const Slot& cell) {
+  for (std::uint32_t at = cell.begin; at < cell.begin + cell.count; ++at) {
+    entry_of_[cell_pool_[at].id] = at;
   }
-  grid_linked_ = true;
 }
 
-void Topology::grid_link(NodeId id, std::uint32_t cell) {
-  cell_of_[id] = cell;
-  grid_prev_[id] = kNoNode;
-  grid_next_[id] = cell_head_[cell];
-  if (cell_head_[cell] != kNoNode) grid_prev_[cell_head_[cell]] = id;
-  cell_head_[cell] = id;
-}
-
-void Topology::grid_unlink(NodeId id) {
-  const NodeId prev = grid_prev_[id];
-  const NodeId next = grid_next_[id];
-  if (prev != kNoNode) {
-    grid_next_[prev] = next;
-  } else {
-    cell_head_[cell_of_[id]] = next;
+void Topology::cell_append(std::size_t cell, CellEntry entry) {
+  Slot& slot = cells_[cell];
+  if (slot.count == slot.cap) {
+    relocate(cell_pool_, slot, slot.count + 1);
+    index_entries(slot);
+    ++maint_.slot_relocations;
   }
-  if (next != kNoNode) grid_prev_[next] = prev;
+  entry_of_[entry.id] = slot.begin + slot.count++;
+  cell_pool_[entry_of_[entry.id]] = entry;
 }
 
 void Topology::scan_into(std::vector<NodeId>& out, Vec2 center, double radius,
                          NodeId exclude) const {
-  const std::size_t first = out.size();
   const double cell = side_ / static_cast<double>(grid_dim_);
   const double r2 = radius * radius;
   const int reach = static_cast<int>(std::ceil(radius / cell));
   const int cx = static_cast<int>(center.x / cell);
   const int cy = static_cast<int>(center.y / cell);
   const int dim = static_cast<int>(grid_dim_);
-  for (int gy = std::max(0, cy - reach); gy <= std::min(dim - 1, cy + reach);
-       ++gy) {
-    for (int gx = std::max(0, cx - reach); gx <= std::min(dim - 1, cx + reach);
-         ++gx) {
-      const std::size_t c = static_cast<std::size_t>(gy) * grid_dim_ +
-                            static_cast<std::size_t>(gx);
-      if (grid_linked_) {
-        for (NodeId other = cell_head_[c]; other != kNoNode;
-             other = grid_next_[other]) {
-          if (other == exclude) continue;
-          if (distance_squared(center, positions_[other]) <= r2) {
-            out.push_back(other);
-          }
-        }
-      } else {
-        for (std::uint32_t i = grid_offsets_[c]; i < grid_offsets_[c + 1];
-             ++i) {
-          const NodeId other = grid_ids_[i];
-          if (other == exclude) continue;
-          if (distance_squared(center, positions_[other]) <= r2) {
-            out.push_back(other);
-          }
-        }
-      }
+  const int x0 = std::max(0, cx - reach);
+  const int x1 = std::min(dim - 1, cx + reach);
+  const int y0 = std::max(0, cy - reach);
+  const int y1 = std::min(dim - 1, cy + reach);
+  const auto each_cell = [&](auto&& visit) {
+    for (int gy = y0; gy <= y1; ++gy) {
+      const Slot* row =
+          cells_.data() + static_cast<std::size_t>(gy) * grid_dim_;
+      for (int gx = x0; gx <= x1; ++gx) visit(row[gx]);
     }
-  }
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+  };
+  // Size the output for every candidate once, then filter branch-free:
+  // write each candidate and advance past it only if it is in range and
+  // not excluded.
+  std::size_t candidates = 0;
+  each_cell([&](const Slot& slot) { candidates += slot.count; });
+  std::size_t kept = out.size();
+  out.resize(kept + candidates);
+  NodeId* const dst = out.data();
+  each_cell([&](const Slot& slot) {
+    const CellEntry* entry = cell_pool_.data() + slot.begin;
+    for (const CellEntry* const end = entry + slot.count; entry != end;
+         ++entry) {
+      dst[kept] = entry->id;
+      kept += static_cast<std::size_t>(
+          (distance_squared(center, entry->pos) <= r2) &
+          (entry->id != exclude));
+    }
+  });
+  out.resize(kept);
 }
 
 std::vector<NodeId> Topology::scan_neighbors(Vec2 center, double radius,
@@ -173,15 +204,14 @@ std::vector<NodeId> Topology::scan_neighbors(Vec2 center, double radius,
   std::vector<NodeId> out;
   out.reserve(static_cast<std::size_t>(expected_degree()) + 8);
   scan_into(out, center, radius, exclude);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 void Topology::rebuild_neighbor_lists() {
   const std::size_t n = positions_.size();
   const double degree = expected_degree();
-  nbr_begin_.resize(n);
-  nbr_count_.resize(n);
-  nbr_cap_.resize(n);
+  nbr_slots_.resize(n);
   nbr_pool_.clear();
   nbr_pool_.reserve(
       static_cast<std::size_t>(static_cast<double>(n) * (degree + 1.0)));
@@ -192,10 +222,10 @@ void Topology::rebuild_neighbor_lists() {
   for (NodeId id = 0; id < n; ++id) {
     scratch.clear();
     scan_into(scratch, positions_[id], range_, id);
-    nbr_begin_[id] = static_cast<std::uint32_t>(nbr_pool_.size());
+    std::sort(scratch.begin(), scratch.end());
     const auto deg = static_cast<std::uint32_t>(scratch.size());
-    nbr_count_[id] = deg;
-    nbr_cap_[id] = deg;  // exact fit: bulk layout carries zero slack
+    // Exact fit: the bulk layout carries zero slack.
+    nbr_slots_[id] = {static_cast<std::uint32_t>(nbr_pool_.size()), deg, deg};
     nbr_pool_.insert(nbr_pool_.end(), scratch.begin(), scratch.end());
     total_degree_ += deg;
   }
@@ -225,73 +255,41 @@ void Topology::update_positions(std::span<const Vec2> positions) {
 }
 
 void Topology::store_list(NodeId id, std::span<const NodeId> ids) {
-  if (ids.size() <= nbr_cap_[id]) {
-    std::copy(ids.begin(), ids.end(),
-              nbr_pool_.begin() + static_cast<std::ptrdiff_t>(nbr_begin_[id]));
-  } else {
-    // Relocate to the pool tail with slack so the next few inserts stay
-    // in place; the old slot is dead weight until compact_pool().
-    const auto cap =
-        static_cast<std::uint32_t>(ids.size() + ids.size() / 2 + 4);
-    nbr_begin_[id] = static_cast<std::uint32_t>(nbr_pool_.size());
-    nbr_cap_[id] = cap;
-    nbr_pool_.insert(nbr_pool_.end(), ids.begin(), ids.end());
-    nbr_pool_.resize(nbr_pool_.size() + (cap - ids.size()), kNoNode);
+  Slot& slot = nbr_slots_[id];
+  if (ids.size() > slot.cap) {
+    relocate(nbr_pool_, slot, ids.size());
     ++maint_.slot_relocations;
   }
+  std::copy(ids.begin(), ids.end(), nbr_pool_.begin() + slot.begin);
   total_degree_ += ids.size();
-  total_degree_ -= nbr_count_[id];
-  nbr_count_[id] = static_cast<std::uint32_t>(ids.size());
+  total_degree_ -= slot.count;
+  slot.count = static_cast<std::uint32_t>(ids.size());
 }
 
 void Topology::patch_insert(NodeId id, NodeId other) {
-  if (nbr_count_[id] == nbr_cap_[id]) {
-    const auto list = neighbors(id);
-    scratch_patch_.assign(list.begin(), list.end());
-    scratch_patch_.insert(
-        std::upper_bound(scratch_patch_.begin(), scratch_patch_.end(), other),
-        other);
-    store_list(id, scratch_patch_);
-    return;
+  Slot& slot = nbr_slots_[id];
+  if (slot.count == slot.cap) {
+    relocate(nbr_pool_, slot, slot.count + 1);
+    ++maint_.slot_relocations;
   }
-  const auto begin =
-      nbr_pool_.begin() + static_cast<std::ptrdiff_t>(nbr_begin_[id]);
-  const auto end = begin + nbr_count_[id];
+  const auto begin = nbr_pool_.begin() + slot.begin;
+  const auto end = begin + slot.count;
   const auto pos = std::upper_bound(begin, end, other);
   std::copy_backward(pos, end, end + 1);
   *pos = other;
-  ++nbr_count_[id];
+  ++slot.count;
   ++total_degree_;
 }
 
 void Topology::patch_erase(NodeId id, NodeId other) {
-  const auto begin =
-      nbr_pool_.begin() + static_cast<std::ptrdiff_t>(nbr_begin_[id]);
-  const auto end = begin + nbr_count_[id];
+  Slot& slot = nbr_slots_[id];
+  const auto begin = nbr_pool_.begin() + slot.begin;
+  const auto end = begin + slot.count;
   const auto pos = std::lower_bound(begin, end, other);
   assert(pos != end && *pos == other);
   std::copy(pos + 1, end, pos);
-  --nbr_count_[id];
+  --slot.count;
   --total_degree_;
-}
-
-void Topology::compact_pool() {
-  // Double-buffered rewrite: lay every live slot out in id order in the
-  // spare buffer (a couple of slack entries each so fresh patches do not
-  // immediately relocate again), then swap the buffers.
-  const std::size_t n = positions_.size();
-  compact_buf_.clear();
-  compact_buf_.reserve(total_degree_ + 2 * n);
-  for (NodeId id = 0; id < n; ++id) {
-    const auto list = neighbors(id);
-    nbr_begin_[id] = static_cast<std::uint32_t>(compact_buf_.size());
-    nbr_cap_[id] = static_cast<std::uint32_t>(list.size() + 2);
-    compact_buf_.insert(compact_buf_.end(), list.begin(), list.end());
-    compact_buf_.push_back(kNoNode);
-    compact_buf_.push_back(kNoNode);
-  }
-  std::swap(nbr_pool_, compact_buf_);
-  ++maint_.pool_compactions;
 }
 
 void Topology::apply_displacements(std::span<const NodeId> moved,
@@ -299,7 +297,6 @@ void Topology::apply_displacements(std::span<const NodeId> moved,
   assert(moved.size() == new_positions.size());
   ++maint_.incremental_epochs;
   if (moved.empty()) return;
-  ensure_linked_grid();
   if (mover_stamp_.size() < positions_.size()) {
     mover_stamp_.resize(positions_.size(), 0);
   }
@@ -308,33 +305,49 @@ void Topology::apply_displacements(std::span<const NodeId> moved,
     std::fill(mover_stamp_.begin(), mover_stamp_.end(), 0);
     stamp_epoch_ = 1;
   }
-  // Phase 1: commit every mover's position and re-bucket cell crossers,
+  // Phase 1: commit every mover's position to positions_ and the index,
   // so phase 2's scans all see the epoch's final geometry.
   for (std::size_t i = 0; i < moved.size(); ++i) {
     const NodeId id = moved[i];
     Vec2 p = new_positions[i];
     p.x = std::clamp(p.x, 0.0, side_);
     p.y = std::clamp(p.y, 0.0, side_);
+    const std::size_t from = cell_index(positions_[id]);
+    const std::size_t to = cell_index(p);
     positions_[id] = p;
     mover_stamp_[id] = stamp_epoch_;
-    const auto c = static_cast<std::uint32_t>(cell_index(p));
-    if (c != cell_of_[id]) {
-      grid_unlink(id);
-      grid_link(id, c);
+    CellEntry& entry = cell_pool_[entry_of_[id]];
+    if (from == to) {
+      entry.pos = p;
+    } else {  // swap-erase from the old cell, append to the new one
+      Slot& cell = cells_[from];
+      entry = cell_pool_[cell.begin + --cell.count];
+      entry_of_[entry.id] = entry_of_[id];
+      cell_append(to, {p, id});
       ++maint_.cell_rebuckets;
     }
   }
   // Phase 2: a unit-disk edge flips only if an endpoint moved, so
-  // rescanning the movers covers every change.  Diffing a mover's new
-  // list against its old one yields the flipped edges; non-mover
-  // endpoints get a sorted one-element patch, mover endpoints rebuild
-  // their own lists anyway.  Mover-mover flips surface in both scans
-  // and are counted once (from the lower id).
+  // rescanning the movers covers every change.  A mover whose scan holds
+  // exactly its old neighbors (equal size, every scanned id a member of
+  // the old list; scans never repeat an id) flipped no edge and keeps
+  // its list as it is.  Otherwise diffing its sorted new list against
+  // the old one yields the flipped edges; non-mover endpoints get a
+  // sorted one-element patch, mover endpoints rebuild their own lists
+  // anyway.  Mover-mover flips surface in both scans and are counted
+  // once (from the lower id).
   for (const NodeId m : moved) {
+    ++maint_.movers_rescanned;
     const auto old_list = neighbors(m);
-    scratch_old_.assign(old_list.begin(), old_list.end());
     scratch_new_.clear();
     scan_into(scratch_new_, positions_[m], range_, m);
+    if (scratch_new_.size() == old_list.size() &&
+        std::all_of(scratch_new_.begin(), scratch_new_.end(),
+                    [&](NodeId v) { return contains(old_list, v); })) {
+      continue;
+    }
+    std::sort(scratch_new_.begin(), scratch_new_.end());
+    scratch_old_.assign(old_list.begin(), old_list.end());
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < scratch_old_.size() || j < scratch_new_.size()) {
@@ -356,34 +369,28 @@ void Topology::apply_displacements(std::span<const NodeId> moved,
       }
     }
     store_list(m, scratch_new_);
-    ++maint_.movers_rescanned;
   }
-  // Compact once dead slots and slack outweigh live data.
+  // Compact either pool once dead slots and slack outweigh live data.
   if (nbr_pool_.size() > 1024 && nbr_pool_.size() > 2 * total_degree_) {
-    compact_pool();
+    compact(nbr_pool_, compact_buf_, nbr_slots_);
+    ++maint_.pool_compactions;
+  }
+  if (cell_pool_.size() > 2 * (positions_.size() + 2 * cells_.size())) {
+    compact(cell_pool_, cell_buf_, cells_);
+    for (const Slot& cell : cells_) index_entries(cell);
+    ++maint_.pool_compactions;
   }
 }
 
 NodeId Topology::add_node(Vec2 pos) {
   const auto id = static_cast<NodeId>(positions_.size());
   positions_.push_back(pos);
-  // Keep the spatial index in the O(1)-insert linked shape; when the
-  // CSR twin was active this converts it (one linear pass, cheaper than
-  // the old per-edge CSR splicing ever was).
-  if (!grid_linked_) {
-    ensure_linked_grid();  // covers the freshly pushed node too
-  } else {
-    grid_next_.push_back(kNoNode);
-    grid_prev_.push_back(kNoNode);
-    cell_of_.push_back(0);
-    grid_link(id, static_cast<std::uint32_t>(cell_index(pos)));
-  }
+  entry_of_.push_back(0);
+  cell_append(cell_index(pos), {pos, id});
   if (!mover_stamp_.empty()) mover_stamp_.push_back(0);
   const std::vector<NodeId> nbrs = scan_neighbors(pos, range_, id);
   for (const NodeId neighbor : nbrs) patch_insert(neighbor, id);
-  nbr_begin_.push_back(static_cast<std::uint32_t>(nbr_pool_.size()));
-  nbr_count_.push_back(0);
-  nbr_cap_.push_back(0);
+  nbr_slots_.push_back({static_cast<std::uint32_t>(nbr_pool_.size()), 0, 0});
   store_list(id, nbrs);
   return id;
 }

@@ -8,19 +8,16 @@
 /// range r, density ≈ N·πr²/L² (ignoring edge effects), so the range that
 /// realizes a requested density is r = L·sqrt(d/(πN)).
 ///
-/// Two maintenance regimes share one query interface:
-///  - Bulk builds (construction, update_positions) lay the neighbor
-///    lists out exact-fit in one flat pool and index positions with a
-///    counting-sort CSR grid — the cache-friendly path the static-setup
-///    scale sweeps run on.
-///  - apply_displacements() patches only what a mobility epoch actually
-///    changed: movers are re-bucketed in a doubly-linked cell grid and
-///    rescanned; the unit-disk identity (an edge flips only if an
-///    endpoint moved) lets non-movers keep their lists except for
-///    per-edge sorted patches.  Slots grow into slack at the pool tail
-///    and the pool compacts double-buffered once dead slack dominates.
-/// Both regimes produce element-identical sorted neighbor lists, so a
-/// consumer cannot observe which one ran.
+/// One spatial index serves every query and both maintenance paths: a
+/// grid of range-sized cells, each holding its nodes' (position, id)
+/// entries contiguously in a slot of one pool.  Bulk builds
+/// (construction, update_positions) lay the cells and the neighbor
+/// lists out exact-fit; apply_displacements() and add_node() patch both
+/// pools in O(movers), growing a full slot into slack at the pool tail
+/// and compacting once dead slack dominates.  The unit-disk identity (an
+/// edge flips only if an endpoint moved) lets non-movers keep their
+/// lists except for per-edge sorted patches, so both paths produce
+/// element-identical sorted neighbor lists.
 
 #include <cstdint>
 #include <span>
@@ -47,8 +44,8 @@ class Topology {
     std::uint64_t cell_rebuckets = 0;
     std::uint64_t edges_added = 0;
     std::uint64_t edges_removed = 0;
-    std::uint64_t slot_relocations = 0;
-    std::uint64_t pool_compactions = 0;
+    std::uint64_t slot_relocations = 0;  ///< neighbor-list and cell slots
+    std::uint64_t pool_compactions = 0;  ///< of either pool
   };
 
   /// Deploys \p count nodes uniformly at random in a square of side
@@ -74,7 +71,8 @@ class Topology {
   /// Ids of nodes within radio range of \p id (excluding \p id),
   /// ascending.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId id) const {
-    return {nbr_pool_.data() + nbr_begin_[id], nbr_count_[id]};
+    const Slot& slot = nbr_slots_[id];
+    return {nbr_pool_.data() + slot.begin, slot.count};
   }
 
   /// Average neighbor count over all nodes (realized density).
@@ -104,8 +102,10 @@ class Topology {
   /// changed this epoch (ascending, no duplicates) and \p new_positions
   /// their new coordinates, index-aligned with \p moved (clamped to
   /// [0, side]).  Cost is proportional to movers and their neighborhood
-  /// churn, not to size().  Produces neighbor lists element-identical
-  /// to update_positions() with the equivalent full position array.
+  /// churn, not to size(): a mover whose neighbor set did not change
+  /// costs one scan and a membership check.  Produces neighbor lists
+  /// element-identical to update_positions() with the equivalent full
+  /// position array.
   void apply_displacements(std::span<const NodeId> moved,
                            std::span<const Vec2> new_positions);
 
@@ -127,59 +127,64 @@ class Topology {
   [[nodiscard]] double expected_degree() const noexcept;
 
  private:
+  /// A node's neighbor list or a grid cell's entries: pool[begin ..
+  /// begin + count), with cap >= count places reserved.  Bulk builds lay
+  /// slots out exact-fit (cap == count, zero waste); patches grow a full
+  /// slot by relocating it to the pool tail with slack, leaving the old
+  /// slot dead until the pool compacts.
+  struct Slot {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+    std::uint32_t cap = 0;
+  };
+
+  /// A node as the spatial index holds it: a copy of its position
+  /// beside its id, so a scan reads no other array.
+  struct CellEntry {
+    Vec2 pos;
+    NodeId id = kNoNode;
+  };
+
   Topology() = default;
   void rebuild_neighbor_lists();
   void index_into_grid();
-  void ensure_linked_grid();
-  void grid_unlink(NodeId id);
-  void grid_link(NodeId id, std::uint32_t cell);
+  /// Appends \p entry to cell \p cell, relocating the cell's slot when
+  /// it is full.
+  void cell_append(std::size_t cell, CellEntry entry);
+  /// Points entry_of_ at each of \p cell's entries after they moved.
+  void index_entries(const Slot& cell);
   /// Appends nodes within \p radius of \p center (minus \p exclude) to
-  /// \p out, sorted ascending; the range already in \p out is untouched.
+  /// \p out in index order, unsorted; the range already in \p out is
+  /// untouched.
   void scan_into(std::vector<NodeId>& out, Vec2 center, double radius,
                  NodeId exclude) const;
+  /// scan_into() into a fresh vector, sorted ascending.
   [[nodiscard]] std::vector<NodeId> scan_neighbors(Vec2 center, double radius,
                                                    NodeId exclude) const;
   /// Writes \p ids (sorted) as \p id's neighbor list, relocating the
-  /// slot to the pool tail with slack when it no longer fits.
+  /// slot when it no longer fits.
   void store_list(NodeId id, std::span<const NodeId> ids);
   /// Sorted insert/erase of \p other in \p id's list (one edge patch).
   void patch_insert(NodeId id, NodeId other);
   void patch_erase(NodeId id, NodeId other);
-  /// Rewrites the pool without dead slack once waste dominates
-  /// (double-buffered: built in a scratch vector, then swapped in).
-  void compact_pool();
 
   std::vector<Vec2> positions_;
-  // Neighbor lists in slotted form: node id's neighbors live in
-  // nbr_pool_[nbr_begin_[id] .. nbr_begin_[id] + nbr_count_[id]), with
-  // nbr_cap_[id] >= nbr_count_[id] slots reserved.  Bulk builds lay the
-  // slots out exact-fit in id order (cap == count, zero waste — the CSR
-  // the static sweeps ran on); incremental patches grow a slot by
-  // relocating it to the pool tail, leaving the old slot dead until
-  // compact_pool() squeezes the waste out.
+  // Neighbor lists, slotted in id order by bulk builds.
   std::vector<NodeId> nbr_pool_;
-  std::vector<std::uint32_t> nbr_begin_;
-  std::vector<std::uint32_t> nbr_count_;
-  std::vector<std::uint32_t> nbr_cap_;
+  std::vector<Slot> nbr_slots_;
   std::uint64_t total_degree_ = 0;
   double side_ = 1.0;
   double range_ = 0.1;
 
-  // Spatial index, one of two interchangeable shapes (scan_into sorts
-  // its output, so per-cell iteration order never leaks):
-  //  - CSR (grid_offsets_/grid_ids_): counting-sorted, cache-friendly,
-  //    built by every bulk pass.
-  //  - Doubly-linked cells (cell_head_/next_/prev_/cell_of_): O(1)
-  //    re-bucket per mover, materialized lazily by the first
-  //    apply_displacements()/add_node() and kept until the next bulk
-  //    rebuild.
-  std::vector<std::uint32_t> grid_offsets_;
-  std::vector<NodeId> grid_ids_;
-  std::vector<NodeId> cell_head_;
-  std::vector<NodeId> grid_next_;
-  std::vector<NodeId> grid_prev_;
-  std::vector<std::uint32_t> cell_of_;
-  bool grid_linked_ = false;
+  // Spatial index, slotted the same way: each grid cell's (position, id)
+  // entries, laid out in cell order by bulk builds.  A mover that stays
+  // in its cell rewrites its entry in place; one that crosses a boundary
+  // swap-erases it from the old cell and appends it to the new one.
+  // Entry order within a cell never leaks: scans sort or compare by
+  // membership.
+  std::vector<CellEntry> cell_pool_;
+  std::vector<Slot> cells_;
+  std::vector<std::uint32_t> entry_of_;  ///< node id -> its cell_pool_ index
   std::size_t grid_dim_ = 0;
   [[nodiscard]] std::size_t cell_index(Vec2 pos) const noexcept;
 
@@ -189,8 +194,9 @@ class Topology {
   std::uint32_t stamp_epoch_ = 0;
   std::vector<NodeId> scratch_old_;
   std::vector<NodeId> scratch_new_;
-  std::vector<NodeId> scratch_patch_;
+  // Spare buffers the pools compact into (double-buffered).
   std::vector<NodeId> compact_buf_;
+  std::vector<CellEntry> cell_buf_;
   MaintenanceStats maint_;
 };
 

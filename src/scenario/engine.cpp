@@ -146,12 +146,8 @@ void ScenarioEngine::schedule_motion_epochs(sim::SimTime phase_end,
   if (next > phase_end) return;
   sim.schedule_at(next, [this, phase_end, epoch_s, &ps] {
     mobility_.advance(epoch_s);
-    if (topo_mode_ == TopologyMaintenance::kIncremental) {
-      const MobilityField::Displacements delta = mobility_.displacements();
-      runner_.network().apply_displacements(delta.ids, delta.positions);
-    } else {
-      runner_.network().update_positions(mobility_.positions());
-    }
+    const MobilityField::Displacements delta = mobility_.displacements();
+    runner_.network().apply_displacements(delta.ids, delta.positions);
     digest_ = mobility_.fold_digest(digest_);
     ++ps.motion_epochs;
     // Orphan-seconds sampled at the epoch cadence: nodes whose cluster

@@ -93,12 +93,6 @@ struct ScenarioStats {
 
 class ScenarioEngine {
  public:
-  /// How mobility epochs maintain the topology.  kIncremental (the
-  /// default) patches only what moved via Topology::apply_displacements;
-  /// kFullRebuild is the from-scratch reference the property tests and
-  /// benchmarks compare against.  Both produce bit-identical traces.
-  enum class TopologyMaintenance { kIncremental, kFullRebuild };
-
   /// \p runner must be freshly constructed from make_runner_config():
   /// the engine owns the full lifecycle (key setup, routing, phases).
   /// Throws if the runner config diverges from the spec or carries a
@@ -106,11 +100,6 @@ class ScenarioEngine {
   ScenarioEngine(core::ProtocolRunner& runner, ScenarioSpec spec);
   ScenarioEngine(const ScenarioEngine&) = delete;
   ScenarioEngine& operator=(const ScenarioEngine&) = delete;
-
-  /// Select the topology maintenance regime before run().
-  void set_topology_maintenance(TopologyMaintenance mode) noexcept {
-    topo_mode_ = mode;
-  }
 
   /// Deployment config matching \p spec, so the graph-level replay can
   /// reproduce the node placement from the same seed.
@@ -162,7 +151,6 @@ class ScenarioEngine {
     PhaseStats* stats = nullptr;
   } stream_;
   std::vector<net::NodeId> phase_join_ids_;
-  TopologyMaintenance topo_mode_ = TopologyMaintenance::kIncremental;
 };
 
 }  // namespace ldke::scenario

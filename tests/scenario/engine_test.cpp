@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -11,7 +12,9 @@
 #include <vector>
 
 #include "core/runner.hpp"
+#include "net/topology.hpp"
 #include "obs/audit.hpp"
+#include "scenario/mobility.hpp"
 
 namespace ldke::scenario {
 namespace {
@@ -209,59 +212,6 @@ TEST(ScenarioEngine, EmitsAuditStreamAndPerPhaseHealth) {
   EXPECT_GT(health[0].largest_component, health[0].active_nodes / 2);
 }
 
-struct ModeRun {
-  ScenarioStats stats;
-  std::vector<obs::HealthSample> health;
-};
-
-ModeRun run_with_mode(const ScenarioSpec& spec, std::uint64_t seed,
-                      ScenarioEngine::TopologyMaintenance topo) {
-  core::RunnerConfig config = ScenarioEngine::make_runner_config(spec, seed);
-  core::ProtocolRunner runner{config};
-  ScenarioEngine engine{runner, spec};
-  engine.set_topology_maintenance(topo);
-  ModeRun out;
-  out.stats = engine.run();
-  out.health = engine.health();
-  return out;
-}
-
-/// The incremental topology path produces the same trace digest, the
-/// same stats JSON and the same health samples as the full-rebuild
-/// reference.
-TEST(ScenarioEngine, IncrementalPathMatchesFullRebuildBitForBit) {
-  ScenarioSpec spec = small_spec();
-  spec.data.evict_interval_s = 0.9;  // eviction wave inside the storm
-  const ModeRun incremental = run_with_mode(
-      spec, 7, ScenarioEngine::TopologyMaintenance::kIncremental);
-  const ModeRun full = run_with_mode(
-      spec, 7, ScenarioEngine::TopologyMaintenance::kFullRebuild);
-
-  EXPECT_EQ(incremental.stats.trace_digest, full.stats.trace_digest);
-  EXPECT_EQ(incremental.stats.to_json().dump(), full.stats.to_json().dump());
-  ASSERT_EQ(incremental.health.size(), full.health.size());
-  for (std::size_t i = 0; i < full.health.size(); ++i) {
-    const obs::HealthSample& a = incremental.health[i];
-    const obs::HealthSample& b = full.health[i];
-    EXPECT_EQ(a.t_ns, b.t_ns) << "phase " << b.phase;
-    EXPECT_EQ(a.phase, b.phase);
-    EXPECT_EQ(a.active_nodes, b.active_nodes) << "phase " << b.phase;
-    EXPECT_EQ(a.live_links, b.live_links) << "phase " << b.phase;
-    EXPECT_EQ(a.secured_links, b.secured_links) << "phase " << b.phase;
-    EXPECT_DOUBLE_EQ(a.secured_link_fraction, b.secured_link_fraction)
-        << "phase " << b.phase;
-    EXPECT_EQ(a.key_components, b.key_components) << "phase " << b.phase;
-    EXPECT_EQ(a.largest_component, b.largest_component) << "phase " << b.phase;
-    EXPECT_EQ(a.delivered, b.delivered) << "phase " << b.phase;
-    EXPECT_DOUBLE_EQ(a.latency_p50_ms, b.latency_p50_ms)
-        << "phase " << b.phase;
-    EXPECT_DOUBLE_EQ(a.latency_p95_ms, b.latency_p95_ms)
-        << "phase " << b.phase;
-    EXPECT_EQ(a.epoch_skew, b.epoch_skew) << "phase " << b.phase;
-    EXPECT_DOUBLE_EQ(a.epoch_mean, b.epoch_mean) << "phase " << b.phase;
-  }
-}
-
 /// Per-link oracle for the one-way key chain (DESIGN.md §10).  Every
 /// stored key for cluster c at hash epoch e is F^e(K0_c), so on every
 /// live link (both ends active, in range) "both ends hold some cluster
@@ -391,6 +341,96 @@ sim::SimTime first_phase_instant(const ScenarioSpec& spec, std::uint64_t seed,
   twin.run_key_setup();
   twin.run_routing_setup();
   return twin.sim().now() + sim::SimTime::from_seconds(at_s);
+}
+
+/// Right after each motion epoch, two checks on the engine's topology:
+/// its neighbor lists equal a from-scratch build over a copy of its
+/// positions, and its positions are the mobility field's.  The second
+/// holds when folding topology().positions() in the engine's digest
+/// order (timeline digest, initial placement, then once per epoch)
+/// reproduces ScenarioStats::trace_digest, which the engine folds from
+/// its MobilityField.
+struct TopologyOracle {
+  std::uint64_t digest = 0;
+  std::uint64_t epochs = 0;
+  std::uint64_t list_mismatches = 0;
+  std::uint64_t out_of_step = 0;  ///< checks that did not follow an epoch
+  std::string first_mismatch;
+
+  TopologyOracle() = default;
+  // Scheduled events hold `this`.
+  TopologyOracle(const TopologyOracle&) = delete;
+  TopologyOracle& operator=(const TopologyOracle&) = delete;
+
+  void fold(const net::Topology& topo) {
+    for (const net::Vec2& p : topo.positions()) {
+      digest = fnv1a64(digest, std::bit_cast<std::uint64_t>(p.x));
+      digest = fnv1a64(digest, std::bit_cast<std::uint64_t>(p.y));
+    }
+  }
+
+  /// Checks at \p at and every \p period after it, \p count times.  Each
+  /// check is pushed by the one before it, which ran after that
+  /// instant's motion epoch had pushed the next epoch, so at a shared
+  /// instant the check runs after the epoch.
+  void arm(core::ProtocolRunner& runner, sim::SimTime at, sim::SimTime period,
+           int count) {
+    runner.sim().schedule_at(at, [this, &runner, at, period, count] {
+      check(runner.network().topology());
+      if (count > 1) arm(runner, at + period, period, count - 1);
+    });
+  }
+
+  void check(const net::Topology& topo) {
+    if (topo.maintenance_stats().incremental_epochs != ++epochs) ++out_of_step;
+    fold(topo);
+    const net::Topology rebuilt = net::Topology::from_positions(
+        {topo.positions().begin(), topo.positions().end()}, topo.range());
+    for (net::NodeId id = 0; id < topo.size(); ++id) {
+      const auto a = topo.neighbors(id);
+      const auto b = rebuilt.neighbors(id);
+      if (std::equal(a.begin(), a.end(), b.begin(), b.end())) continue;
+      if (list_mismatches++ == 0) {
+        first_mismatch = "epoch " + std::to_string(epochs) + " node " +
+                         std::to_string(id);
+      }
+    }
+  }
+};
+
+TEST(ScenarioEngine, TopologyMatchesFromScratchBuildAfterEveryEpoch) {
+  ScenarioSpec spec = small_spec();
+  spec.data.evict_interval_s = 0.9;  // eviction wave inside the storm
+  const std::uint64_t seed = 7;
+  const double epoch_s = spec.motion.epoch_s;
+  const double storm_start_s = spec.phases[0].duration_s;
+  const auto epochs =
+      static_cast<int>(spec.phases[1].duration_s / epoch_s + 1e-9);
+  const sim::SimTime storm_start =
+      first_phase_instant(spec, seed, storm_start_s);
+  const sim::SimTime period = sim::SimTime::from_seconds(epoch_s);
+
+  TopologyOracle oracle;  // outlives the runner and its pending events
+  core::ProtocolRunner runner{ScenarioEngine::make_runner_config(spec, seed)};
+  ScenarioEngine engine{runner, spec};
+  oracle.digest = engine.timeline().digest();
+  oracle.fold(runner.network().topology());  // initial placement
+  // Arm from inside the storm, after the engine pushed its first epoch.
+  runner.sim().schedule_at(
+      storm_start + sim::SimTime::from_seconds(epoch_s / 2), [&] {
+        oracle.arm(runner, storm_start + period, period, epochs);
+      });
+  const ScenarioStats stats = engine.run();
+
+  ASSERT_EQ(stats.phases.size(), 3u);
+  EXPECT_EQ(stats.phases[1].motion_epochs, static_cast<std::uint64_t>(epochs));
+  EXPECT_GT(stats.phases[1].joins, 0u);  // joiners are folded too
+  EXPECT_EQ(oracle.epochs, static_cast<std::uint64_t>(epochs));
+  EXPECT_EQ(oracle.out_of_step, 0u);
+  EXPECT_EQ(oracle.list_mismatches, 0u) << oracle.first_mismatch;
+  EXPECT_EQ(oracle.digest, stats.trace_digest);
+  // The oracle only reads: the run is the one the engine makes alone.
+  EXPECT_EQ(stats.to_json().dump(), run_once(spec, seed).to_json().dump());
 }
 
 /// One duty-cycled phase of \p duration_s, flipping every node several

@@ -208,6 +208,47 @@ TEST(TopologyIncremental, AddNodeInterleavesWithIncrementalEpochs) {
   }
 }
 
+TEST(TopologyIncremental, NodesWithinMatchesBruteForceAfterIncrementalEpochs) {
+  // nodes_within (attacker transmissions) reads the same cell index the
+  // epochs patch: after 60 all-mobile epochs with additions among them,
+  // with slots relocated and compacted along the way, it must still
+  // agree with the unit-disk definition at arbitrary centers and radii.
+  const double range = 4.0;
+  const std::vector<Vec2> initial = random_positions(300, 50.0, 0x5eed07);
+  Topology topo = Topology::from_positions(initial, range);
+  MobilityField field{waypoint_config(), topo.side(), topo.positions(),
+                      0x5eed08};
+  support::Xoshiro256 rng{0x5eed09};
+  for (int epoch = 0; epoch < 60; ++epoch) {
+    if (epoch % 15 == 7) {
+      const Vec2 pos{rng.uniform(0.0, topo.side()),
+                     rng.uniform(0.0, topo.side())};
+      field.add_node(pos);
+      topo.add_node(pos);
+    }
+    field.advance(waypoint_config().epoch_s);
+    const MobilityField::Displacements delta = field.displacements();
+    topo.apply_displacements(delta.ids, delta.positions);
+  }
+  EXPECT_GT(topo.maintenance_stats().slot_relocations, 0u);
+  EXPECT_GT(topo.maintenance_stats().pool_compactions, 0u);
+  for (int i = 0; i < 50; ++i) {
+    const Vec2 center{rng.uniform(0.0, topo.side()),
+                      rng.uniform(0.0, topo.side())};
+    const double radius = rng.uniform(0.1 * range, 10.0 * range);
+    std::vector<NodeId> expected;
+    for (NodeId id = 0; id < topo.size(); ++id) {
+      if (net::distance_squared(center, topo.position(id)) <=
+          radius * radius) {
+        expected.push_back(id);
+      }
+    }
+    EXPECT_EQ(topo.nodes_within(center, radius), expected)
+        << "center (" << center.x << ", " << center.y << ") radius "
+        << radius;
+  }
+}
+
 TEST(TopologyIncremental, EmptyDisplacementEpochIsANoOp) {
   const std::vector<Vec2> initial = random_positions(50, 20.0, 0x5eed06);
   Topology incremental = Topology::from_positions(initial, 3.0);

@@ -59,7 +59,6 @@ struct CliOptions {
   double duration = 5.0;     ///< steady-state window (seconds)
   bool scalar = false;       ///< steady: per-packet pipeline, not batched
   bool baselines = false;    ///< scenario: add the graph-level replays
-  bool full_rebuild = false;  ///< scenario: per-epoch full topology rebuild
   std::string summary_path;  ///< RunSummary JSON destination ("" = off)
   std::string trace_path;    ///< JSONL trace destination ("" = off)
 };
@@ -86,8 +85,6 @@ int usage() {
       "  --scalar    steady: per-packet scalar pipeline (default batched)\n"
       "  --baselines scenario: graph-replay the baseline key schemes on "
       "the same trace\n"
-      "  --full-rebuild  scenario: rebuild topology from scratch each "
-      "epoch\n"
       "  --csv       machine-readable output\n"
       "  --summary <file>  write the RunSummary JSON artifact\n"
       "  --trace <file>    write the versioned JSONL trace "
@@ -128,8 +125,6 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
       opt.scalar = true;
     } else if (arg == "--baselines") {
       opt.baselines = true;
-    } else if (arg == "--full-rebuild") {
-      opt.full_rebuild = true;
     } else if (arg == "--collisions") {
       opt.collisions = true;
     } else if (arg == "--csv") {
@@ -431,10 +426,6 @@ int cmd_scenario(const CliOptions& opt, const std::string& path) {
   core::ProtocolRunner runner{
       scenario::ScenarioEngine::make_runner_config(*spec, opt.seed)};
   scenario::ScenarioEngine engine{runner, *spec};
-  if (opt.full_rebuild) {
-    engine.set_topology_maintenance(
-        scenario::ScenarioEngine::TopologyMaintenance::kFullRebuild);
-  }
   net::PacketTrace trace{1 << 20};
   obs::AuditSink audit;
   if (!opt.trace_path.empty()) {

@@ -194,9 +194,11 @@ def check_sweep(doc, path, checker):
     if checker.expect(doc, "sweep_identical", bool, path) is False:
         checker.fail(f"{path}: bench reported sweep topologies diverged")
     min_speedup = checker.expect(doc, "sweep_min_speedup", NUMBER, path)
+    # Artifacts that predate the recorded gate size used the default.
+    gate_nodes = (checker.expect(doc, "sweep_gate_nodes", int, path)
+                  if "sweep_gate_nodes" in doc else 50000)
     if not points:
         checker.fail(f"{path}: scale_sweep is empty")
-    gate_nodes = 50000
     for si, pt in enumerate(points):
         where = f"{path}: scale_sweep[{si}]"
         for field, kind in SWEEP_POINT_FIELDS.items():
@@ -214,6 +216,7 @@ def check_sweep(doc, path, checker):
                              f"full/incr = {full / incr}")
         if (isinstance(min_speedup, (int, float))
                 and isinstance(speedup, (int, float))
+                and isinstance(gate_nodes, int)
                 and pt.get("nodes", 0) >= gate_nodes
                 and speedup < min_speedup):
             checker.fail(f"{where}: speedup {speedup} below the "
