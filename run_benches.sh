@@ -118,9 +118,8 @@ def walk(path, b, a):
         flag = "  <-- drifted" if abs(delta) > 25.0 else ""
         print(f"{name:45s} {b:14.1f} -> {a:14.1f}  ({delta:+.1f}%){flag}")
 
-for key in ("crypto", "pipelines", "engine_wall_speedup"):
-    if key in before and key in after:
-        walk([key], before[key], after[key])
+if "engine" in before and "engine" in after:
+    walk(["engine"], before["engine"], after["engine"])
 PYEOF
   rm -f results/.dataplane_baseline.json
 fi

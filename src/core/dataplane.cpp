@@ -34,7 +34,7 @@ DataPlaneStats DataPlaneEngine::run() {
 
   // Drivers self-reschedule until their next firing would pass end_.
   // Initial scheduling order (tick, refresh, evict) fixes the execution
-  // order at coincident timestamps, identically in both pipelines.
+  // order at coincident timestamps.
   schedule_tick(net);
   if (config_.refresh_interval_s > 0.0) schedule_refresh(net);
   if (config_.evict_interval_s > 0.0 && runner_.base_station() != nullptr) {
@@ -83,8 +83,7 @@ void DataPlaneEngine::schedule_evict(net::Network& net) {
 }
 
 void DataPlaneEngine::fill_payload(net::NodeId source) {
-  // Pseudo-sensor sample: deterministic in (source, attempt ordinal), so
-  // the scalar and batched pipelines feed identical plaintexts.
+  // Pseudo-sensor sample: deterministic in (source, attempt ordinal).
   const std::uint64_t seq = stats_.attempts;
   for (std::size_t i = 0; i < payload_.size(); ++i) {
     payload_[i] = static_cast<std::uint8_t>(source * 131 + seq * 29 + i * 7);
@@ -93,11 +92,7 @@ void DataPlaneEngine::fill_payload(net::NodeId source) {
 
 void DataPlaneEngine::tick(net::Network& net) {
   ++stats_.ticks;
-  if (config_.batched) {
-    originate_batched(net);
-  } else {
-    originate_scalar(net);
-  }
+  originate(net);
   if (config_.arena_generation_ticks != 0 &&
       stats_.ticks % config_.arena_generation_ticks == 0) {
     runner_.payload_arena().advance_generation();
@@ -105,7 +100,7 @@ void DataPlaneEngine::tick(net::Network& net) {
   }
 }
 
-void DataPlaneEngine::originate_scalar(net::Network& net) {
+void DataPlaneEngine::originate(net::Network& net) {
   const std::size_t n = runner_.node_count();
   const net::NodeId bs =
       runner_.base_station() ? runner_.base_station()->id() : net::kNoNode;
@@ -116,60 +111,6 @@ void DataPlaneEngine::originate_scalar(net::Network& net) {
     fill_payload(node.id());
     ++stats_.attempts;
     if (node.send_reading(net, payload_)) ++stats_.originated;
-  }
-}
-
-void DataPlaneEngine::originate_batched(net::Network& net) {
-  const std::size_t n = runner_.node_count();
-  const net::NodeId bs =
-      runner_.base_station() ? runner_.base_station()->id() : net::kNoNode;
-  plans_.clear();
-  for (std::size_t k = 0; k < config_.readings_per_tick; ++k) {
-    SensorNode& node = runner_.node(next_source_);
-    next_source_ = (next_source_ + 1) % n;
-    if (node.id() == bs) continue;
-    fill_payload(node.id());
-    ++stats_.attempts;
-    auto plan = node.prepare_reading(net, payload_);
-    if (!plan) continue;
-    ++stats_.originated;
-    plans_.push_back(PlannedReading{node.id(), std::move(*plan)});
-  }
-  if (plans_.empty()) return;
-
-  // Group by wrap-key *value*: members of one cluster share Kc, so their
-  // envelopes pipeline through one multi-buffer seal_batch.  Group order
-  // cannot affect the output — each seal is independent in (key, nonce) —
-  // and the packets below go out in original plan order regardless.
-  groups_.clear();
-  for (std::uint32_t i = 0; i < plans_.size(); ++i) {
-    groups_[plans_[i].plan.wrap_key.bytes].push_back(i);
-  }
-  slots_.resize(plans_.size());
-  std::uint32_t g = 0;
-  for (const auto& [key_bytes, members] : groups_) {
-    reqs_.clear();
-    for (const std::uint32_t i : members) {
-      const SensorNode::HopPlan& plan = plans_[i].plan;
-      reqs_.push_back(crypto::SealRequest{plan.header.nonce, plan.inner_bytes,
-                                          plan.header_bytes});
-    }
-    if (group_out_.size() <= g) group_out_.emplace_back();
-    group_out_[g].clear();
-    seal_cache_.get(crypto::Key128{key_bytes}).seal_batch(reqs_, group_out_[g]);
-    ++stats_.batches_sealed;
-    stats_.max_group_lanes =
-        std::max<std::uint64_t>(stats_.max_group_lanes, members.size());
-    for (std::uint32_t j = 0; j < members.size(); ++j) {
-      slots_[members[j]] = {g, j};
-    }
-    ++g;
-  }
-
-  for (std::uint32_t i = 0; i < plans_.size(); ++i) {
-    const auto [group, item] = slots_[i];
-    runner_.node(plans_[i].source)
-        .push_sealed(net, plans_[i].plan, group_out_[group].item(item));
   }
 }
 

@@ -225,12 +225,13 @@ std::uint64_t SensorNode::next_nonce(net::Network& net) {
   return (std::uint64_t{id()} << 32) | ++envelope_counter_;
 }
 
-std::optional<wsn::DataInner> SensorNode::make_reading(
-    net::Network& net, std::span<const std::uint8_t> payload) {
-  if (!keys_.has_own() || role_ == Role::kEvicted) return std::nullopt;
-  if (!routing_.has_route()) return std::nullopt;
+bool SensorNode::send_reading(net::Network& net,
+                              std::span<const std::uint8_t> payload) {
+  if (!keys_.has_own() || role_ == Role::kEvicted) return false;
+  if (!routing_.has_route()) return false;
   // Duty cycling / churn: a sleeping or departed node senses nothing.
-  if (!net.is_active(id())) return std::nullopt;
+  if (!net.is_active(id())) return false;
+  crypto::ScopedCryptoCounters obs_guard{crypto_stats_};
 
   wsn::DataInner inner;
   inner.source = id();
@@ -248,31 +249,11 @@ std::optional<wsn::DataInner> SensorNode::make_reading(
   if (obs::DeliveryTracker* tracker = net.delivery_tracker()) {
     tracker->on_originate(id(), net.sim().now().ns());
   }
-  return inner;
-}
-
-bool SensorNode::send_reading(net::Network& net,
-                              std::span<const std::uint8_t> payload) {
-  crypto::ScopedCryptoCounters obs_guard{crypto_stats_};
-  auto inner = make_reading(net, payload);
-  if (!inner) return false;
-  forward_inner(net, std::move(*inner));
+  forward_inner(net, std::move(inner));
   return true;
 }
 
-std::optional<SensorNode::HopPlan> SensorNode::prepare_reading(
-    net::Network& net, std::span<const std::uint8_t> payload) {
-  // The Step-1 seal is charged to the node, exactly as in send_reading;
-  // the hop-wrap seal happens later inside seal_batch and lands on the
-  // engine's counters instead (global totals are unchanged).
-  crypto::ScopedCryptoCounters obs_guard{crypto_stats_};
-  auto inner = make_reading(net, payload);
-  if (!inner) return std::nullopt;
-  return plan_hop_envelope(net, std::move(*inner));
-}
-
-SensorNode::HopPlan SensorNode::plan_hop_envelope(net::Network& net,
-                                                  wsn::DataInner inner) {
+void SensorNode::forward_inner(net::Network& net, wsn::DataInner inner) {
   // §IV-C Step 2: wrap under this node's cluster key; one broadcast
   // serves all neighbors.  A late-joined node (§IV-E) instead uses its
   // routing parent's cluster key from S — the only key it provably
@@ -285,33 +266,16 @@ SensorNode::HopPlan SensorNode::plan_hop_envelope(net::Network& net,
   inner.tau_ns = net.sim().now().ns();
   inner.echoed_cid = wrap_cid;
 
-  HopPlan plan;
-  plan.header.cid = wrap_cid;
-  plan.header.next_hop = routing_.parent();
-  plan.header.nonce = next_nonce(net);
-  plan.wrap_key = *keys_.key_for(wrap_cid);
-  plan.header_bytes = wsn::encode(plan.header);
-  plan.inner_bytes = wsn::encode(inner);
-  return plan;
-}
+  wsn::DataHeader header;
+  header.cid = wrap_cid;
+  header.next_hop = routing_.parent();
+  header.nonce = next_nonce(net);
 
-void SensorNode::forward_inner(net::Network& net, wsn::DataInner inner) {
-  const HopPlan plan = plan_hop_envelope(net, std::move(inner));
-  const support::Bytes sealed = keys_.context_for(plan.header.cid)->seal(
-      plan.header.nonce, plan.inner_bytes, plan.header_bytes);
-
-  Packet pkt;
-  pkt.sender = id();
-  pkt.kind = PacketKind::kData;
-  pkt.payload = wsn::join_envelope(plan.header_bytes, sealed);
-  net.broadcast(pkt);
-  net.counters().increment("data.hop_tx");
-}
-
-void SensorNode::push_sealed(net::Network& net, const HopPlan& plan,
-                             std::span<const std::uint8_t> sealed) {
+  const support::Bytes header_bytes = wsn::encode(header);
+  const support::Bytes sealed = keys_.context_for(wrap_cid)->seal(
+      header.nonce, wsn::encode(inner), header_bytes);
   net.broadcast(Packet{id(), PacketKind::kData,
-                       wsn::join_envelope(plan.header_bytes, sealed)});
+                       wsn::join_envelope(header_bytes, sealed)});
   net.counters().increment("data.hop_tx");
 }
 

@@ -92,31 +92,6 @@ class SensorNode : public net::Node {
   bool send_reading(net::Network& net,
                     std::span<const std::uint8_t> payload);
 
-  /// One planned DATA origination: everything send_reading() computes up
-  /// to — but not including — the hop-envelope seal.  The steady-state
-  /// engine groups plans by wrap key and runs them through the
-  /// multi-buffer crypto::SealContext::seal_batch, then hands each sealed
-  /// envelope back via push_sealed().
-  struct HopPlan {
-    wsn::DataHeader header;       ///< cid / next_hop / nonce of the hop wrap
-    crypto::Key128 wrap_key;      ///< grouping key for multi-buffer sealing
-    support::Bytes header_bytes;  ///< encoded header (seal AAD)
-    support::Bytes inner_bytes;   ///< encoded DataInner (seal plaintext)
-  };
-
-  /// Batched-origination front half of send_reading(): identical guards,
-  /// Step-1 end-to-end seal, counters, nonce draw and tracker hook, but
-  /// returns the hop plan instead of sealing + broadcasting.  Yields
-  /// nullopt exactly when send_reading() would return false.
-  [[nodiscard]] std::optional<HopPlan> prepare_reading(
-      net::Network& net, std::span<const std::uint8_t> payload);
-
-  /// Batched-origination back half: assembles \p sealed (this plan's
-  /// seal_batch output) into the DATA packet send_reading() would have
-  /// broadcast, and broadcasts it.
-  void push_sealed(net::Network& net, const HopPlan& plan,
-                   std::span<const std::uint8_t> sealed);
-
   /// Data-fusion hook: inspects every authenticated reading this node is
   /// asked to forward; returning false discards it as redundant (§II
   /// "Intermediate Node Accessibility of Data").  Only usable when Step 1
@@ -349,18 +324,6 @@ class SensorNode : public net::Node {
   /// CTR/MAC guarantees, so exhaustion is a hard error, never silent
   /// (audited as nonce_wrap_abort before the throw).
   [[nodiscard]] std::uint64_t next_nonce(net::Network& net);
-
-  /// Shared front half of send_reading()/prepare_reading(): guards,
-  /// Step-1 seal, origination counters.  nullopt when the node cannot
-  /// originate (no cluster key, evicted, or no route).
-  [[nodiscard]] std::optional<wsn::DataInner> make_reading(
-      net::Network& net, std::span<const std::uint8_t> payload);
-
-  /// Shared back half of forward_inner()/prepare_reading(): picks the
-  /// wrap cluster, stamps tau/echoed_cid, draws the nonce and encodes
-  /// header + inner.  Everything but the seal itself.
-  [[nodiscard]] HopPlan plan_hop_envelope(net::Network& net,
-                                          wsn::DataInner inner);
 
   /// Opens a hop envelope (header + sealed) with the key set S; returns
   /// the plaintext or nullopt, incrementing diagnostic counters.

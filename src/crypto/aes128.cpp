@@ -29,55 +29,6 @@ __attribute__((target("aes,sse2"))) void encrypt_block_aesni(
   s = _mm_aesenclast_si128(s, _mm_loadu_si128(rk + 10));
   _mm_storeu_si128(reinterpret_cast<__m128i*>(block), s);
 }
-
-__attribute__((target("aes,sse2"))) void encrypt_blocks_aesni(
-    const std::uint8_t* round_keys, std::uint8_t* blocks,
-    std::size_t n) noexcept {
-  const auto* rk_mem = reinterpret_cast<const __m128i*>(round_keys);
-  __m128i rk[11];
-  for (int r = 0; r <= 10; ++r) rk[r] = _mm_loadu_si128(rk_mem + r);
-
-  auto* p = reinterpret_cast<__m128i*>(blocks);
-  // Eight independent blocks in flight: enough to cover AESENC latency
-  // on every core that has the instruction, without spilling xmm regs.
-  while (n >= 8) {
-    __m128i s0 = _mm_xor_si128(_mm_loadu_si128(p + 0), rk[0]);
-    __m128i s1 = _mm_xor_si128(_mm_loadu_si128(p + 1), rk[0]);
-    __m128i s2 = _mm_xor_si128(_mm_loadu_si128(p + 2), rk[0]);
-    __m128i s3 = _mm_xor_si128(_mm_loadu_si128(p + 3), rk[0]);
-    __m128i s4 = _mm_xor_si128(_mm_loadu_si128(p + 4), rk[0]);
-    __m128i s5 = _mm_xor_si128(_mm_loadu_si128(p + 5), rk[0]);
-    __m128i s6 = _mm_xor_si128(_mm_loadu_si128(p + 6), rk[0]);
-    __m128i s7 = _mm_xor_si128(_mm_loadu_si128(p + 7), rk[0]);
-    for (int round = 1; round <= 9; ++round) {
-      s0 = _mm_aesenc_si128(s0, rk[round]);
-      s1 = _mm_aesenc_si128(s1, rk[round]);
-      s2 = _mm_aesenc_si128(s2, rk[round]);
-      s3 = _mm_aesenc_si128(s3, rk[round]);
-      s4 = _mm_aesenc_si128(s4, rk[round]);
-      s5 = _mm_aesenc_si128(s5, rk[round]);
-      s6 = _mm_aesenc_si128(s6, rk[round]);
-      s7 = _mm_aesenc_si128(s7, rk[round]);
-    }
-    _mm_storeu_si128(p + 0, _mm_aesenclast_si128(s0, rk[10]));
-    _mm_storeu_si128(p + 1, _mm_aesenclast_si128(s1, rk[10]));
-    _mm_storeu_si128(p + 2, _mm_aesenclast_si128(s2, rk[10]));
-    _mm_storeu_si128(p + 3, _mm_aesenclast_si128(s3, rk[10]));
-    _mm_storeu_si128(p + 4, _mm_aesenclast_si128(s4, rk[10]));
-    _mm_storeu_si128(p + 5, _mm_aesenclast_si128(s5, rk[10]));
-    _mm_storeu_si128(p + 6, _mm_aesenclast_si128(s6, rk[10]));
-    _mm_storeu_si128(p + 7, _mm_aesenclast_si128(s7, rk[10]));
-    p += 8;
-    n -= 8;
-  }
-  while (n > 0) {
-    __m128i s = _mm_xor_si128(_mm_loadu_si128(p), rk[0]);
-    for (int round = 1; round <= 9; ++round) s = _mm_aesenc_si128(s, rk[round]);
-    _mm_storeu_si128(p, _mm_aesenclast_si128(s, rk[10]));
-    ++p;
-    --n;
-  }
-}
 #endif
 
 constexpr std::uint8_t kSbox[256] = {
@@ -192,19 +143,6 @@ AesBlock Aes128::encrypt(const AesBlock& in) const noexcept {
   AesBlock out = in;
   encrypt_block(out);
   return out;
-}
-
-void Aes128::encrypt_blocks(std::uint8_t* blocks, std::size_t n) const noexcept {
-#if defined(LDKE_CRYPTO_X86)
-  if (detail::cpu_has_aesni()) {
-    encrypt_blocks_aesni(round_keys_.data(), blocks, n);
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    encrypt_block(std::span<std::uint8_t, kAesBlockBytes>(
-        blocks + i * kAesBlockBytes, kAesBlockBytes));
-  }
 }
 
 }  // namespace ldke::crypto

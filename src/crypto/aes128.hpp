@@ -27,12 +27,6 @@ class Aes128 {
   /// Encrypts \p in into \p out (may alias).
   [[nodiscard]] AesBlock encrypt(const AesBlock& in) const noexcept;
 
-  /// Encrypts \p n consecutive 16-byte blocks in place.  On AES-NI the
-  /// blocks are pipelined eight at a time — AESENC has multi-cycle
-  /// latency but single-cycle throughput, so independent blocks hide
-  /// most of it.  Bit-identical to n encrypt_block() calls.
-  void encrypt_blocks(std::uint8_t* blocks, std::size_t n) const noexcept;
-
   /// The cipher key, which is round key 0 and fixes all the others.
   [[nodiscard]] std::span<const std::uint8_t, kKeyBytes> key_bytes()
       const noexcept {

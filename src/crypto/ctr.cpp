@@ -1,6 +1,6 @@
 #include "crypto/ctr.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace ldke::crypto {
 
@@ -26,112 +26,6 @@ void AesCtrContext::crypt(std::uint64_t nonce,
     offset += take;
     ++block_index;
   }
-}
-
-namespace {
-
-// Big-endian encode of a 64-bit word as a single store.  The shift form
-// compiles to one bswap on every supported target.
-inline std::uint64_t host_to_be64(std::uint64_t v) noexcept {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-  std::uint64_t r;
-  std::memcpy(&r, b, 8);
-  return r;
-}
-
-// Per-slice accessors so the in-place (CtrSlice) and out-of-place
-// (CtrGatherSlice) batch entry points share one staging loop.
-inline const std::uint8_t* slice_src(const CtrSlice& s) noexcept {
-  return s.data.data();
-}
-inline std::uint8_t* slice_dst(const CtrSlice& s) noexcept {
-  return s.data.data();
-}
-inline std::size_t slice_len(const CtrSlice& s) noexcept {
-  return s.data.size();
-}
-inline const std::uint8_t* slice_src(const CtrGatherSlice& s) noexcept {
-  return s.src.data();
-}
-inline std::uint8_t* slice_dst(const CtrGatherSlice& s) noexcept {
-  return s.dst;
-}
-inline std::size_t slice_len(const CtrGatherSlice& s) noexcept {
-  return s.src.size();
-}
-
-template <typename Slice>
-void crypt_batch_impl(const Aes128& aes,
-                      std::span<const Slice> slices) noexcept {
-  // Counter blocks staged across slice boundaries, flushed through the
-  // multi-block AES path.  64 blocks per flush keeps the staging buffer
-  // inside L1 while leaving encrypt_blocks full 8-wide groups.
-  constexpr std::size_t kStage = 64;
-  std::uint8_t blocks[kStage * kAesBlockBytes];
-  struct Dst {
-    const std::uint8_t* src;
-    std::uint8_t* dst;
-    std::uint32_t len;
-  } dst[kStage];
-  std::size_t staged = 0;
-
-  auto flush = [&] {
-    aes.encrypt_blocks(blocks, staged);
-    for (std::size_t b = 0; b < staged; ++b) {
-      const std::uint8_t* ks = blocks + b * kAesBlockBytes;
-      const std::uint8_t* in = dst[b].src;
-      std::uint8_t* out = dst[b].dst;
-      if (dst[b].len == kAesBlockBytes) {
-        // Full block: two 8-byte XORs (memcpy keeps it alias-safe and
-        // compiles to plain 64-bit loads/stores).
-        std::uint64_t a, k;
-        std::memcpy(&a, in, 8);
-        std::memcpy(&k, ks, 8);
-        a ^= k;
-        std::memcpy(out, &a, 8);
-        std::memcpy(&a, in + 8, 8);
-        std::memcpy(&k, ks + 8, 8);
-        a ^= k;
-        std::memcpy(out + 8, &a, 8);
-      } else {
-        for (std::uint32_t i = 0; i < dst[b].len; ++i) out[i] = in[i] ^ ks[i];
-      }
-    }
-    staged = 0;
-  };
-
-  for (const Slice& slice : slices) {
-    std::uint64_t block_index = 0;
-    std::size_t offset = 0;
-    const std::size_t len = slice_len(slice);
-    const std::uint64_t nonce_be = host_to_be64(slice.nonce);
-    while (offset < len) {
-      std::uint8_t* cb = blocks + staged * kAesBlockBytes;
-      const std::uint64_t ctr_be = host_to_be64(block_index);
-      std::memcpy(cb, &nonce_be, 8);
-      std::memcpy(cb + 8, &ctr_be, 8);
-      const std::size_t take = std::min<std::size_t>(kAesBlockBytes, len - offset);
-      dst[staged] = {slice_src(slice) + offset, slice_dst(slice) + offset,
-                     static_cast<std::uint32_t>(take)};
-      if (++staged == kStage) flush();
-      offset += take;
-      ++block_index;
-    }
-  }
-  flush();
-}
-
-}  // namespace
-
-void AesCtrContext::crypt_batch(
-    std::span<const CtrSlice> slices) const noexcept {
-  crypt_batch_impl(aes_, slices);
-}
-
-void AesCtrContext::crypt_batch(
-    std::span<const CtrGatherSlice> slices) const noexcept {
-  crypt_batch_impl(aes_, slices);
 }
 
 support::Bytes AesCtrContext::encrypt(

@@ -14,24 +14,6 @@
 
 namespace ldke::crypto {
 
-/// One message for AesCtrContext::crypt_batch: the keystream for
-/// \p nonce is XORed into \p data in place.
-struct CtrSlice {
-  std::uint64_t nonce = 0;
-  std::span<std::uint8_t> data;
-};
-
-/// One message for the out-of-place crypt_batch overload: src XOR
-/// keystream(nonce) is written to dst, fusing the copy a caller would
-/// otherwise do before an in-place crypt.  dst may alias src exactly
-/// (src.data() == dst) but must not partially overlap, and must have
-/// room for src.size() bytes.
-struct CtrGatherSlice {
-  std::uint64_t nonce = 0;
-  std::span<const std::uint8_t> src;
-  std::uint8_t* dst = nullptr;
-};
-
 /// Cached AES-CTR context: owns the expanded AES-128 round keys and
 /// encrypts/decrypts any number of messages without re-running the key
 /// schedule (the schedule costs about two block encryptions — see
@@ -43,17 +25,6 @@ class AesCtrContext {
   /// XORs the keystream for \p nonce into \p data in place.  Encryption
   /// and decryption are the same operation.
   void crypt(std::uint64_t nonce, std::span<std::uint8_t> data) const noexcept;
-
-  /// Multi-buffer crypt: processes every slice in place, staging counter
-  /// blocks across slice boundaries so AES-NI sees long runs of
-  /// independent blocks (see Aes128::encrypt_blocks).  Bit-identical to
-  /// calling crypt() once per slice.
-  void crypt_batch(std::span<const CtrSlice> slices) const noexcept;
-
-  /// Out-of-place multi-buffer crypt: like the in-place overload but
-  /// each slice reads from src and writes to dst, so decrypt-into-arena
-  /// and seal-from-plaintext callers skip a per-message memcpy.
-  void crypt_batch(std::span<const CtrGatherSlice> slices) const noexcept;
 
   /// Out-of-place conveniences.
   [[nodiscard]] support::Bytes encrypt(

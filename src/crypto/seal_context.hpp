@@ -27,61 +27,6 @@
 
 namespace ldke::crypto {
 
-/// One message for SealContext::seal_batch.
-struct SealRequest {
-  std::uint64_t nonce = 0;
-  std::span<const std::uint8_t> plain;
-  std::span<const std::uint8_t> aad;
-};
-
-/// One message for SealContext::open_batch.
-struct OpenRequest {
-  std::uint64_t nonce = 0;
-  std::span<const std::uint8_t> sealed;
-  std::span<const std::uint8_t> aad;
-};
-
-/// Output of seal_batch: every envelope (ciphertext||tag) lands in one
-/// contiguous buffer, item \c i at [offsets[i], offsets[i+1]).  Reuse the
-/// instance across batches to amortize the allocations.
-struct SealedBatch {
-  support::Bytes buffer;
-  std::vector<std::uint32_t> offsets{0};
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-  [[nodiscard]] std::span<const std::uint8_t> item(std::size_t i) const noexcept {
-    return std::span<const std::uint8_t>(buffer).subspan(
-        offsets[i], offsets[i + 1] - offsets[i]);
-  }
-  void clear() noexcept {
-    buffer.clear();
-    offsets.assign(1, 0);
-  }
-};
-
-/// Output of the contiguous open_batch overload: every verified
-/// plaintext lands in one buffer, item \c i at [offsets[i], offsets[i+1])
-/// — which is an empty range when ok[i] is false (authentication
-/// failure).  Reuse the instance across batches to amortize allocations.
-struct OpenedBatch {
-  support::Bytes buffer;
-  std::vector<std::uint32_t> offsets{0};
-  std::vector<std::uint8_t> ok;
-
-  [[nodiscard]] std::size_t size() const noexcept { return ok.size(); }
-  [[nodiscard]] std::span<const std::uint8_t> item(std::size_t i) const noexcept {
-    return std::span<const std::uint8_t>(buffer).subspan(
-        offsets[i], offsets[i + 1] - offsets[i]);
-  }
-  void clear() noexcept {
-    buffer.clear();
-    offsets.assign(1, 0);
-    ok.clear();
-  }
-};
-
 /// Per-key seal/open context: cached KeyPair derivation + CTR schedule +
 /// MAC midstates.  Cheap to copy (a few hundred bytes, no heap).
 class SealContext {
@@ -112,22 +57,6 @@ class SealContext {
   [[nodiscard]] std::optional<support::Bytes> open(
       std::uint64_t nonce, std::span<const std::uint8_t> sealed,
       std::span<const std::uint8_t> aad = {}) const;
-
-  /// Multi-buffer seal: every request's envelope is appended to \p out,
-  /// with the AES-CTR counter blocks and HMAC compressions of independent
-  /// messages pipelined through the hardware paths (crypto/batch.cpp).
-  /// Bit-identical to calling seal() once per request.
-  void seal_batch(std::span<const SealRequest> reqs, SealedBatch& out) const;
-
-  /// Multi-buffer open; \p out must have reqs.size() slots and mirrors
-  /// open() per item (nullopt on any authentication failure).
-  void open_batch(std::span<const OpenRequest> reqs,
-                  std::span<std::optional<support::Bytes>> out) const;
-
-  /// Allocation-amortized multi-buffer open: verified plaintexts land
-  /// contiguously in \p out (the inverse of seal_batch's SealedBatch).
-  /// Per item, ok[i] and item(i) mirror open()'s nullopt/value result.
-  void open_batch(std::span<const OpenRequest> reqs, OpenedBatch& out) const;
 
  private:
   [[nodiscard]] MacTag envelope_tag(

@@ -262,114 +262,6 @@ __attribute__((target("sha,ssse3,sse4.1"))) void process_block_shani(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
 }
-
-// Two-lane interleaved SHA-NI compression.  Same FIPS 180-4 schedule as
-// process_block_shani, with every step duplicated for lanes a/b so the
-// two independent sha256rnds2 chains issue back to back and fill each
-// other's latency bubbles.  Fully unrolled via the LDKE_SHA2_QR macro:
-// an earlier loop formulation indexed the schedule vectors through an
-// array with a variable index, which forced every vector into memory
-// and made the pair SLOWER than two serial compressions.
-__attribute__((target("sha,ssse3,sse4.1"))) void process_blocks_shani_x2(
-    std::uint32_t* state_a, const std::uint8_t* block_a,
-    std::uint32_t* state_b, const std::uint8_t* block_b) noexcept {
-  const __m128i kByteSwap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  const auto* pa = reinterpret_cast<const __m128i*>(block_a);
-  const auto* pb = reinterpret_cast<const __m128i*>(block_b);
-
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state_a));
-  __m128i s1a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state_a + 4));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);      // CDAB
-  s1a = _mm_shuffle_epi32(s1a, 0x1B);      // EFGH
-  __m128i s0a = _mm_alignr_epi8(tmp, s1a, 8);   // ABEF
-  s1a = _mm_blend_epi16(s1a, tmp, 0xF0);        // CDGH
-  tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state_b));
-  __m128i s1b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state_b + 4));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);
-  s1b = _mm_shuffle_epi32(s1b, 0x1B);
-  __m128i s0b = _mm_alignr_epi8(tmp, s1b, 8);
-  s1b = _mm_blend_epi16(s1b, tmp, 0xF0);
-
-  const __m128i abef_a = s0a, cdgh_a = s1a;
-  const __m128i abef_b = s0b, cdgh_b = s1b;
-
-  __m128i m0a, m1a, m2a, m3a, m0b, m1b, m2b, m3b;
-  __m128i msga, msgb, tma, tmb;
-
-// Four rounds for both lanes: schedule vector \c c carries the current
-// message words, \c n receives the msg2 recurrence, \c p the msg1
-// recurrence (and is the alignr source).  LOAD/MSG2/MSG1 are literal 0/1
-// toggles for the prologue (first four groups load the block) and the
-// recurrence windows (groups 3..14 and 1..12 respectively).
-#define LDKE_SHA2_QR(khi, klo, c, n, p, LOAD, LOADIDX, MSG2, MSG1)        \
-  {                                                                       \
-    const __m128i k = _mm_set_epi64x(khi, klo);                           \
-    if (LOAD) {                                                           \
-      m##c##a = _mm_shuffle_epi8(_mm_loadu_si128(pa + (LOADIDX)),         \
-                                 kByteSwap);                              \
-      m##c##b = _mm_shuffle_epi8(_mm_loadu_si128(pb + (LOADIDX)),         \
-                                 kByteSwap);                              \
-    }                                                                     \
-    msga = _mm_add_epi32(m##c##a, k);                                     \
-    msgb = _mm_add_epi32(m##c##b, k);                                     \
-    s1a = _mm_sha256rnds2_epu32(s1a, s0a, msga);                          \
-    s1b = _mm_sha256rnds2_epu32(s1b, s0b, msgb);                          \
-    if (MSG2) {                                                           \
-      tma = _mm_alignr_epi8(m##c##a, m##p##a, 4);                         \
-      tmb = _mm_alignr_epi8(m##c##b, m##p##b, 4);                         \
-      m##n##a = _mm_add_epi32(m##n##a, tma);                              \
-      m##n##b = _mm_add_epi32(m##n##b, tmb);                              \
-      m##n##a = _mm_sha256msg2_epu32(m##n##a, m##c##a);                   \
-      m##n##b = _mm_sha256msg2_epu32(m##n##b, m##c##b);                   \
-    }                                                                     \
-    msga = _mm_shuffle_epi32(msga, 0x0E);                                 \
-    msgb = _mm_shuffle_epi32(msgb, 0x0E);                                 \
-    s0a = _mm_sha256rnds2_epu32(s0a, s1a, msga);                          \
-    s0b = _mm_sha256rnds2_epu32(s0b, s1b, msgb);                          \
-    if (MSG1) {                                                           \
-      m##p##a = _mm_sha256msg1_epu32(m##p##a, m##c##a);                   \
-      m##p##b = _mm_sha256msg1_epu32(m##p##b, m##c##b);                   \
-    }                                                                     \
-  }
-
-  // Groups 0-15 cover rounds 0-63; constants match the scalar kK table.
-  LDKE_SHA2_QR(0xE9B5DBA5B5C0FBCFLL, 0x71374491428A2F98LL, 0, 1, 3, 1, 0, 0, 0)
-  LDKE_SHA2_QR(0xAB1C5ED5923F82A4LL, 0x59F111F13956C25BLL, 1, 2, 0, 1, 1, 0, 1)
-  LDKE_SHA2_QR(0x550C7DC3243185BELL, 0x12835B01D807AA98LL, 2, 3, 1, 1, 2, 0, 1)
-  LDKE_SHA2_QR(0xC19BF1749BDC06A7LL, 0x80DEB1FE72BE5D74LL, 3, 0, 2, 1, 3, 1, 1)
-  LDKE_SHA2_QR(0x240CA1CC0FC19DC6LL, 0xEFBE4786E49B69C1LL, 0, 1, 3, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0x76F988DA5CB0A9DCLL, 0x4A7484AA2DE92C6FLL, 1, 2, 0, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0xBF597FC7B00327C8LL, 0xA831C66D983E5152LL, 2, 3, 1, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0x1429296706CA6351LL, 0xD5A79147C6E00BF3LL, 3, 0, 2, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0x53380D134D2C6DFCLL, 0x2E1B213827B70A85LL, 0, 1, 3, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0x92722C8581C2C92ELL, 0x766A0ABB650A7354LL, 1, 2, 0, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0xC76C51A3C24B8B70LL, 0xA81A664BA2BFE8A1LL, 2, 3, 1, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0x106AA070F40E3585LL, 0xD6990624D192E819LL, 3, 0, 2, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0x34B0BCB52748774CLL, 0x1E376C0819A4C116LL, 0, 1, 3, 0, 0, 1, 1)
-  LDKE_SHA2_QR(0x682E6FF35B9CCA4FLL, 0x4ED8AA4A391C0CB3LL, 1, 2, 0, 0, 0, 1, 0)
-  LDKE_SHA2_QR(0x8CC7020884C87814LL, 0x78A5636F748F82EELL, 2, 3, 1, 0, 0, 1, 0)
-  LDKE_SHA2_QR(0xC67178F2BEF9A3F7LL, 0xA4506CEB90BEFFFALL, 3, 0, 2, 0, 0, 0, 0)
-#undef LDKE_SHA2_QR
-
-  s0a = _mm_add_epi32(s0a, abef_a);
-  s1a = _mm_add_epi32(s1a, cdgh_a);
-  s0b = _mm_add_epi32(s0b, abef_b);
-  s1b = _mm_add_epi32(s1b, cdgh_b);
-
-  tmp = _mm_shuffle_epi32(s0a, 0x1B);       // FEBA
-  s1a = _mm_shuffle_epi32(s1a, 0xB1);       // DCHG
-  s0a = _mm_blend_epi16(tmp, s1a, 0xF0);    // DCBA
-  s1a = _mm_alignr_epi8(s1a, tmp, 8);       // HGFE
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state_a), s0a);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state_a + 4), s1a);
-  tmp = _mm_shuffle_epi32(s0b, 0x1B);
-  s1b = _mm_shuffle_epi32(s1b, 0xB1);
-  s0b = _mm_blend_epi16(tmp, s1b, 0xF0);
-  s1b = _mm_alignr_epi8(s1b, tmp, 8);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state_b), s0b);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state_b + 4), s1b);
-}
 #endif
 
 void compress_portable(std::uint32_t* state, const std::uint8_t* block) noexcept {
@@ -408,33 +300,6 @@ void compress_portable(std::uint32_t* state, const std::uint8_t* block) noexcept
 
 }  // namespace
 
-namespace detail {
-
-void sha256_compress(std::uint32_t* state, const std::uint8_t* block) noexcept {
-#if defined(LDKE_CRYPTO_X86)
-  if (cpu_has_sha_ni()) {
-    process_block_shani(state, block);
-    return;
-  }
-#endif
-  compress_portable(state, block);
-}
-
-void sha256_compress_x2(std::uint32_t* state_a, const std::uint8_t* block_a,
-                        std::uint32_t* state_b,
-                        const std::uint8_t* block_b) noexcept {
-#if defined(LDKE_CRYPTO_X86)
-  if (cpu_has_sha_ni()) {
-    process_blocks_shani_x2(state_a, block_a, state_b, block_b);
-    return;
-  }
-#endif
-  compress_portable(state_a, block_a);
-  compress_portable(state_b, block_b);
-}
-
-}  // namespace detail
-
 void Sha256::reset() noexcept {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
@@ -443,7 +308,13 @@ void Sha256::reset() noexcept {
 }
 
 void Sha256::process_block(const std::uint8_t* block) noexcept {
-  detail::sha256_compress(state_.data(), block);
+#if defined(LDKE_CRYPTO_X86)
+  if (detail::cpu_has_sha_ni()) {
+    process_block_shani(state_.data(), block);
+    return;
+  }
+#endif
+  compress_portable(state_.data(), block);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {

@@ -57,23 +57,4 @@ class Sha256 {
 /// One-shot convenience.
 [[nodiscard]] Sha256Digest sha256(std::span<const std::uint8_t> data) noexcept;
 
-namespace detail {
-
-/// One FIPS 180-4 compression of \p block into \p state (8 words, a..h
-/// order), dispatching to SHA-NI when available.  Exposed for the
-/// multi-buffer MAC path (crypto/batch.cpp), which drives lane states
-/// directly instead of going through incremental Sha256 contexts.
-void sha256_compress(std::uint32_t* state, const std::uint8_t* block) noexcept;
-
-/// Compresses one block into each of two *independent* states with the
-/// two instruction streams interleaved.  sha256rnds2 is a serial
-/// dependency chain within one message; across messages the chains are
-/// independent, so interleaving hides most of the instruction latency.
-/// Bit-identical to two sha256_compress() calls.
-void sha256_compress_x2(std::uint32_t* state_a, const std::uint8_t* block_a,
-                        std::uint32_t* state_b,
-                        const std::uint8_t* block_b) noexcept;
-
-}  // namespace detail
-
 }  // namespace ldke::crypto

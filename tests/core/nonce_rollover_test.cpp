@@ -53,17 +53,21 @@ TEST(NonceRollover, LastNonceBeforeTheWallIsWellFormed) {
   const net::NodeId id = routed_node(*runner);
   ASSERT_NE(id, net::kNoNode);
   SensorNode& node = runner->node(id);
+  support::Bytes last_frame;
+  runner->network().channel().set_sniffer([&](const net::Packet& pkt) {
+    if (pkt.sender == id && pkt.kind == net::PacketKind::kData) {
+      last_frame = pkt.payload.to_bytes();
+    }
+  });
 
   node.debug_set_envelope_counter(kMax - 1);
-  const auto plan = node.prepare_reading(runner->network(),
-                                         support::bytes_of("r"));
-  ASSERT_TRUE(plan.has_value());
+  ASSERT_TRUE(node.send_reading(runner->network(), support::bytes_of("r")));
+  const auto envelope = wsn::split_envelope(last_frame);
+  ASSERT_TRUE(envelope.has_value());
   // High 32 bits carry the node id, low 32 the final counter value.
-  EXPECT_EQ(plan->header.nonce, (std::uint64_t{id} << 32) | kMax);
-  // The batched planning path hits the identical wall.
-  EXPECT_THROW(
-      (void)node.prepare_reading(runner->network(), support::bytes_of("r")),
-      std::overflow_error);
+  EXPECT_EQ(envelope->header.nonce, (std::uint64_t{id} << 32) | kMax);
+  EXPECT_THROW(node.send_reading(runner->network(), support::bytes_of("r")),
+               std::overflow_error);
 }
 
 TEST(NonceRollover, PublishSeqExhaustionIsAHardError) {

@@ -9,7 +9,7 @@
 ///   ldke_sim lifecycle [-n nodes] [-d density] [-s seed]
 ///                      [--summary f.json] [--trace f.jsonl]
 ///   ldke_sim steady [-n nodes] [-d density] [-s seed] [--duration s]
-///                   [--scalar] [--summary f.json] [--trace f.jsonl]
+///                   [--summary f.json] [--trace f.jsonl]
 ///   ldke_sim scenario <spec.json> [-s seed] [--baselines]
 ///                     [--summary f.json] [--trace f.jsonl]
 
@@ -57,7 +57,6 @@ struct CliOptions {
   bool collisions = false;
   bool csv = false;
   double duration = 5.0;     ///< steady-state window (seconds)
-  bool scalar = false;       ///< steady: per-packet pipeline, not batched
   bool baselines = false;    ///< scenario: add the graph-level replays
   std::string summary_path;  ///< RunSummary JSON destination ("" = off)
   std::string trace_path;    ///< JSONL trace destination ("" = off)
@@ -82,7 +81,6 @@ int usage() {
       "  --lanes <k> sharded-kernel lanes (1 = serial event loop)\n"
       "  --collisions  model overlapping-reception corruption\n"
       "  --duration <s>  steady-state window length  (default 5)\n"
-      "  --scalar    steady: per-packet scalar pipeline (default batched)\n"
       "  --baselines scenario: graph-replay the baseline key schemes on "
       "the same trace\n"
       "  --csv       machine-readable output\n"
@@ -121,8 +119,6 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
       opt.lanes = static_cast<std::size_t>(v);
     } else if (arg == "--duration" && next_value(v)) {
       opt.duration = v;
-    } else if (arg == "--scalar") {
-      opt.scalar = true;
     } else if (arg == "--baselines") {
       opt.baselines = true;
     } else if (arg == "--collisions") {
@@ -346,9 +342,7 @@ int cmd_lifecycle(const CliOptions& opt) {
 }
 
 /// Setup + routing, then the DataPlaneEngine's steady-state window:
-/// continuous DATA origination with periodic hash refresh, through the
-/// batched SoA pipeline (or --scalar for the per-packet one — both are
-/// bit-identical per seed, so the choice only moves wall time).
+/// continuous DATA origination with periodic hash refresh.
 int cmd_steady(const CliOptions& opt) {
   if (opt.lanes > 1) {
     std::cerr << "steady requires the serial event loop (--lanes 1)\n";
@@ -364,12 +358,10 @@ int cmd_steady(const CliOptions& opt) {
   std::cout << "setup + routing... " << std::flush;
   runner.run_key_setup();
   runner.run_routing_setup();
-  std::cout << "done\n" << (opt.scalar ? "scalar" : "batched")
-            << " data plane, " << support::fmt(opt.duration, 1)
+  std::cout << "done\ndata plane, " << support::fmt(opt.duration, 1)
             << " s steady state... " << std::flush;
   core::DataPlaneConfig dp;
   dp.duration_s = opt.duration;
-  dp.batched = !opt.scalar;
   dp.refresh_interval_s = 1.0;  // control plane stays live under traffic
   core::DataPlaneEngine engine{runner, dp};
   const core::DataPlaneStats stats = engine.run();
