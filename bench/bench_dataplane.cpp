@@ -77,8 +77,7 @@ int main() {
 
   const obs::DeliveryTracker& dt = runner.deliveries();
   const std::uint64_t hop_tx = runner.network().counters().value("data.hop_tx");
-  crypto::CryptoCounters totals = runner.crypto_totals();
-  totals += engine.crypto_stats();
+  const crypto::CryptoCounters totals = runner.crypto_totals();
   const double pps = static_cast<double>(stats.originated) / engine_s;
 
   support::TextTable table({"engine (s)", "originated/s", "hop tx/s",

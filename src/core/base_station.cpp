@@ -92,6 +92,7 @@ void BaseStation::on_delivered(net::Network& net,
 
 bool BaseStation::revoke_clusters(net::Network& net,
                                   const std::vector<ClusterId>& cids) {
+  crypto::ScopedCryptoCounters obs_guard{crypto_account()};
   const auto element = chain_.reveal_next();
   if (!element) return false;
   wsn::RevokeBody body;

@@ -25,7 +25,6 @@ DataPlaneStats DataPlaneEngine::run() {
   net::Network& net = runner_.network();
   sim::Simulator& sim = runner_.sim();
   net::PayloadArena::Scope arena_scope{runner_.payload_arena()};
-  crypto::ScopedCryptoCounters obs_guard{crypto_};
 
   const sim::SimTime start = sim.now();
   end_ = start + sim::SimTime::from_seconds(config_.duration_s);

@@ -67,12 +67,14 @@ class DataPlaneEngine {
   [[nodiscard]] const DataPlaneStats& stats() const noexcept {
     return stats_;
   }
-  /// Crypto work run in engine events outside any node handler: the F
-  /// evaluations of each hash-refresh round and the base station's
-  /// revocation work.  Every DATA seal is charged to the node that sends
-  /// it, so ProtocolRunner::crypto_totals() holds all of them.
+  /// All zeros: every seal, open and F of the window is charged to the
+  /// node that does it — DATA seals to the sender, refresh rounds to each
+  /// refreshing node, revocations to the base station — so
+  /// ProtocolRunner::crypto_totals() holds all of them.  Kept only for
+  /// perfbench's worker, which still reads it.
   [[nodiscard]] const crypto::CryptoCounters& crypto_stats() const noexcept {
-    return crypto_;
+    static constexpr crypto::CryptoCounters kNone{};
+    return kNone;
   }
 
  private:
@@ -91,7 +93,6 @@ class DataPlaneEngine {
   ProtocolRunner& runner_;
   DataPlaneConfig config_;
   DataPlaneStats stats_;
-  crypto::CryptoCounters crypto_;
 
   sim::SimTime end_{};
   std::size_t next_source_ = 0;  ///< round-robin origination cursor

@@ -79,9 +79,9 @@ class SensorNode : public net::Node {
   }
 
   /// Crypto work attributed to this node (seal/open/PRF counts and byte
-  /// volume).  Covers packet handling and the node's own scheduled
-  /// transmissions; deployment-wide provisioning is charged to the
-  /// runner, not to nodes.
+  /// volume).  Covers packet handling, the node's own scheduled
+  /// transmissions and its hash refreshes (wake catch-ups included);
+  /// deployment-wide provisioning is charged to the runner, not to nodes.
   [[nodiscard]] const crypto::CryptoCounters& crypto_stats() const noexcept {
     return crypto_stats_;
   }
@@ -136,6 +136,7 @@ class SensorNode : public net::Node {
   /// landing inside the join window would otherwise leave the joiner's
   /// keys permanently one F behind its cluster.
   void apply_hash_refresh() {
+    crypto::ScopedCryptoCounters obs_guard{crypto_stats_};
     keys_.hash_refresh_all();
     for (auto& [cid, key] : join_candidates_) crypto::one_way_inplace(key);
     ++hash_epoch_;
@@ -257,6 +258,12 @@ class SensorNode : public net::Node {
 
   [[nodiscard]] const ProtocolConfig& config() const noexcept {
     return *config_;
+  }
+
+  /// This node's crypto account, for work a subclass does on its own
+  /// initiative (outside any packet handler).
+  [[nodiscard]] crypto::CryptoCounters& crypto_account() noexcept {
+    return crypto_stats_;
   }
 
   NodeSecrets secrets_;

@@ -43,7 +43,7 @@ GraphReplayResult replay_scheme(const ScenarioSpec& spec, std::uint64_t seed,
   support::Xoshiro256 scheme_rng{support::derive_seed(seed, kSchemeSeedTag)};
   scheme.setup(topo, scheme_rng);
 
-  const Timeline timeline = Timeline::expand(spec, seed);
+  const Timeline timeline{spec, seed};
   MobilityField mobility{spec.motion, spec.side_m, topo.positions(),
                          support::derive_seed(seed, kMotionSeedTag)};
   std::uint64_t digest = timeline.digest();
@@ -65,15 +65,13 @@ GraphReplayResult replay_scheme(const ScenarioSpec& spec, std::uint64_t seed,
     const PhaseSpec& phase = spec.phases[pi];
     const std::int64_t start_ns = timeline.phase_start_ns(pi);
     const std::int64_t end_ns = timeline.phase_end_ns(pi);
-    const std::span<const Event> events = timeline.phase_events(pi);
-    std::size_t next_event = 0;
+    Timeline::Cursor cursor = timeline.phase_cursor(pi);
 
     auto apply_events_until = [&](std::int64_t t_ns) {
       // The engine schedules timeline events before the motion driver,
       // so at a shared timestamp events run first: consume t <= t_ns.
-      for (; next_event < events.size() && events[next_event].t_ns <= t_ns;
-           ++next_event) {
-        const Event& ev = events[next_event];
+      for (; !cursor.done() && cursor->t_ns <= t_ns; cursor.advance()) {
+        const Event& ev = *cursor;
         switch (ev.kind) {
           case EventKind::kLeave:
           case EventKind::kFail:

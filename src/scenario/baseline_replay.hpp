@@ -3,7 +3,7 @@
 /// Graph-level scenario replay for the §III baseline key schemes.  The
 /// packet-level ScenarioEngine exercises LDKE's actual protocol; the
 /// baselines are evaluated the way the paper compares them — over the
-/// communication graph — but under the *same* trace: the replay expands
+/// communication graph — but under the *same* trace: the replay walks
 /// the identical Timeline, advances an identical MobilityField, and
 /// folds the identical digest, so a digest match proves both replayers
 /// walked the same deployment history.  Per phase it reports how much

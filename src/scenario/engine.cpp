@@ -16,6 +16,14 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+ScenarioSpec validated(ScenarioSpec spec) {
+  const std::string problem = spec.validate();
+  if (!problem.empty()) {
+    throw std::invalid_argument("ScenarioEngine: invalid spec: " + problem);
+  }
+  return spec;
+}
+
 }  // namespace
 
 core::RunnerConfig ScenarioEngine::make_runner_config(const ScenarioSpec& spec,
@@ -31,15 +39,11 @@ core::RunnerConfig ScenarioEngine::make_runner_config(const ScenarioSpec& spec,
 
 ScenarioEngine::ScenarioEngine(core::ProtocolRunner& runner, ScenarioSpec spec)
     : runner_(runner),
-      spec_(std::move(spec)),
-      timeline_(Timeline::expand(spec_, runner.config().seed)),
+      spec_(validated(std::move(spec))),
+      timeline_(spec_, runner.config().seed),
       mobility_(spec_.motion, spec_.side_m,
                 runner.network().topology().positions(),
                 support::derive_seed(runner.config().seed, kMotionSeedTag)) {
-  const std::string problem = spec_.validate();
-  if (!problem.empty()) {
-    throw std::invalid_argument("ScenarioEngine: invalid spec: " + problem);
-  }
   if (runner_.config().node_count != spec_.nodes ||
       runner_.config().side_m != spec_.side_m ||
       runner_.config().density != spec_.density ||
@@ -123,20 +127,23 @@ void ScenarioEngine::apply_event(const Event& ev, PhaseStats& ps) {
   }
 }
 
-void ScenarioEngine::schedule_timeline_event(std::size_t i) {
-  const auto at =
-      sim::SimTime::from_ns(stream_.offset_ns + stream_.events[i].t_ns);
-  auto fn = [this, i] {
+void ScenarioEngine::schedule_timeline_event() {
+  if (stream_.cursor.done()) return;
+  const Event ev = *stream_.cursor;
+  stream_.cursor.advance();
+  auto fn = [this, ev] {
     // Push the successor before applying this event.  Its key
-    // (t[i+1], seq_base + i + 1) sorts after this event's, and nothing
-    // keyed after this event has run yet, so it runs exactly where the
-    // whole timeline scheduled at phase start would have put it.
-    if (i + 1 < stream_.events.size()) schedule_timeline_event(i + 1);
-    apply_event(stream_.events[i], *stream_.stats);
+    // (t, next_seq) sorts after this event's, and nothing keyed after
+    // this event has run yet, so it runs exactly where the whole
+    // timeline scheduled at phase start would have put it.
+    schedule_timeline_event();
+    apply_event(ev, *stream_.stats);
   };
   static_assert(sizeof(fn) <= sim::EventFn::kInlineBytes,
                 "timeline event must stay within EventFn's inline buffer");
-  runner_.sim().schedule_reserved(at, stream_.seq_base + i, std::move(fn));
+  runner_.sim().schedule_reserved(
+      sim::SimTime::from_ns(stream_.offset_ns + ev.t_ns), stream_.next_seq++,
+      std::move(fn));
 }
 
 void ScenarioEngine::schedule_motion_epochs(sim::SimTime phase_end,
@@ -270,11 +277,11 @@ ScenarioStats ScenarioEngine::run() {
     // timestamps every timeline event runs before the drivers scheduled
     // below, as the graph replay applies events before the epoch.  The
     // events themselves are streamed: only the next one due is pending.
-    stream_.events = timeline_.phase_events(pi);
+    stream_.cursor = timeline_.phase_cursor(pi);
     stream_.offset_ns = phase_start_sim_ns - timeline_.phase_start_ns(pi);
-    stream_.seq_base = sim.reserve_sequence(stream_.events.size());
+    stream_.next_seq = sim.reserve_sequence(timeline_.phase_event_count(pi));
     stream_.stats = &ps;
-    if (!stream_.events.empty()) schedule_timeline_event(0);
+    schedule_timeline_event();
     if (phase.mobility && spec_.motion.model != MotionModel::kNone) {
       schedule_motion_epochs(phase_end, spec_.motion.epoch_s, ps);
     }

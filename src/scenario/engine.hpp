@@ -6,12 +6,11 @@
 /// §IV-E joins), sleep/wake duty cycling behind the radio gates, and
 /// scripted partition walls — while a DataPlaneEngine generates DATA
 /// traffic in every phase.  All scenario randomness comes from the
-/// pre-expanded Timeline and a dedicated MobilityField stream, so two
-/// runs of the same (spec, seed) produce bit-identical ScenarioStats,
-/// and the graph-level baseline replay reproduces the same trace digest.
+/// Timeline and a dedicated MobilityField stream, so two runs of the
+/// same (spec, seed) produce bit-identical ScenarioStats, and the
+/// graph-level baseline replay reproduces the same trace digest.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -122,9 +121,9 @@ class ScenarioEngine {
 
  private:
   void apply_event(const Event& ev, PhaseStats& ps);
-  /// Schedules timeline event \p i of the running phase under its
-  /// reserved sequence number; when it runs it schedules event i + 1.
-  void schedule_timeline_event(std::size_t i);
+  /// Schedules the running phase's next timeline event under its
+  /// reserved sequence number; when it runs it schedules the one after.
+  void schedule_timeline_event();
   void schedule_motion_epochs(sim::SimTime phase_end, double epoch_s,
                               PhaseStats& ps);
   void finish_phase(std::uint32_t pi, PhaseStats& ps,
@@ -141,13 +140,13 @@ class ScenarioEngine {
   std::uint64_t digest_ = 0;
   std::uint32_t hash_epochs_done_ = 0;  ///< refresh rounds before this phase
   const core::DataPlaneEngine* current_dp_ = nullptr;
-  /// The running phase's timeline slice and where it lands in the
-  /// scheduler: sim time = offset_ns + t_ns, event i under sequence
-  /// number seq_base + i.
+  /// The running phase's timeline cursor and where it lands in the
+  /// scheduler: sim time = offset_ns + t_ns, the cursor's event under
+  /// sequence number next_seq.
   struct TimelineStream {
-    std::span<const Event> events;
+    Timeline::Cursor cursor;
     std::int64_t offset_ns = 0;
-    std::uint64_t seq_base = 0;
+    std::uint64_t next_seq = 0;
     PhaseStats* stats = nullptr;
   } stream_;
   std::vector<net::NodeId> phase_join_ids_;

@@ -50,8 +50,10 @@ std::string ScenarioSpec::validate() const {
   } else if (churn.leave_rate_hz < 0.0 || churn.fail_rate_hz < 0.0 ||
              churn.join_rate_hz < 0.0) {
     err << "churn rates must be >= 0";
-  } else if (duty.period_s <= 0.0) {
-    err << "duty.period_s must be > 0";
+  } else if (!(duty.period_s >= 1e-9)) {
+    // Flip times are integral nanoseconds; a shorter period truncates
+    // to 0 ns, which the duty offsets are taken modulo.
+    err << "duty.period_s must be >= 1e-9 (one nanosecond)";
   } else if (duty.active_fraction <= 0.0 || duty.active_fraction > 1.0) {
     err << "duty.active_fraction must be in (0, 1]";
   } else if (data.tick_interval_s <= 0.0) {

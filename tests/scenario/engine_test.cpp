@@ -498,13 +498,14 @@ TEST(ScenarioEngine, MidPhaseEventAtAScriptedInstantSeesIt) {
 /// queue sampled through a duty-cycled phase whose timeline holds 20x
 /// the node count stays under a bound set by the deployment, whatever
 /// the phase length.  An engine that scheduled the whole timeline at
-/// phase start would read about the timeline length here.
+/// phase start would read about the timeline length here.  The phase's
+/// event count is the size of the sequence block the engine reserves.
 TEST(ScenarioEngine, StreamedTimelineKeepsTheQueueBounded) {
   for (const double duration_s : {2.0, 4.0}) {
     const ScenarioSpec spec = dozing_spec(duration_s, 0.1);
     const std::uint64_t seed = 5;
     const std::size_t timeline_events =
-        Timeline::expand(spec, seed).events().size();
+        Timeline{spec, seed}.phase_event_count(0);
     ASSERT_GE(timeline_events, 20 * spec.nodes);
     const sim::SimTime start = first_phase_instant(spec, seed, 0.0);
     const sim::SimTime end = start + sim::SimTime::from_seconds(duration_s);
@@ -528,6 +529,42 @@ TEST(ScenarioEngine, StreamedTimelineKeepsTheQueueBounded) {
     EXPECT_LT(deepest, spec.nodes)
         << duration_s << " s phase, " << timeline_events
         << " timeline events";
+  }
+}
+
+/// Churn that outlasts the deployment: five sensors, leaves at 8 Hz
+/// for 2 s.  Departures drawn after the last sensor left are dropped,
+/// so a phase without a scripted wall records no partition and no heal.
+TEST(ScenarioEngine, DepartureWithNobodyLeftIsDropped) {
+  ScenarioSpec spec;
+  spec.name = "drain";
+  spec.nodes = 6;
+  spec.side_m = 200.0;
+  spec.churn.leave_rate_hz = 8.0;
+  PhaseSpec phase;
+  phase.name = "drain";
+  phase.duration_s = 2.0;
+  phase.churn = true;
+  spec.phases = {phase};
+  const ScenarioStats stats = run_once(spec, 1);
+  ASSERT_EQ(stats.phases.size(), 1u);
+  EXPECT_EQ(stats.leaves, 5u);
+  EXPECT_EQ(stats.phases[0].partitions, 0u);
+  EXPECT_EQ(stats.phases[0].heals, 0u);
+}
+
+/// The engine checks its spec before it builds anything from it.
+TEST(ScenarioEngine, RejectsAnInvalidSpecByName) {
+  ScenarioSpec spec = small_spec();
+  core::ProtocolRunner runner{ScenarioEngine::make_runner_config(spec, 3)};
+  spec.phases.clear();
+  try {
+    ScenarioEngine engine{runner, spec};
+    FAIL() << "an empty phase list was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("ScenarioEngine: invalid spec", 0),
+              0u)
+        << e.what();
   }
 }
 

@@ -59,6 +59,10 @@ TEST(ScenarioSpec, ValidateFlagsBadFields) {
   EXPECT_FALSE(spec.validate().empty());
 
   spec = full_spec();
+  spec.duty.period_s = 1e-10;  // truncates to a 0 ns period
+  EXPECT_FALSE(spec.validate().empty());
+
+  spec = full_spec();
   spec.phases[0].duration_s = 0.0;
   EXPECT_FALSE(spec.validate().empty());
 

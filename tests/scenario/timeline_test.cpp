@@ -29,38 +29,68 @@ ScenarioSpec dynamic_spec() {
   return spec;
 }
 
+std::vector<Event> walk(const Timeline& tl, std::uint32_t phase) {
+  std::vector<Event> events;
+  for (Timeline::Cursor c = tl.phase_cursor(phase); !c.done(); c.advance()) {
+    events.push_back(*c);
+  }
+  return events;
+}
+
+std::vector<Event> all_events(const Timeline& tl) {
+  std::vector<Event> events;
+  for (std::uint32_t pi = 0; pi < tl.phase_count(); ++pi) {
+    const std::vector<Event> phase = walk(tl, pi);
+    events.insert(events.end(), phase.begin(), phase.end());
+  }
+  return events;
+}
+
 TEST(Timeline, SameSeedExpandsIdentically) {
   const ScenarioSpec spec = dynamic_spec();
-  const Timeline a = Timeline::expand(spec, 77);
-  const Timeline b = Timeline::expand(spec, 77);
-  ASSERT_EQ(a.events().size(), b.events().size());
+  const Timeline a{spec, 77};
+  const Timeline b{spec, 77};
+  ASSERT_EQ(a.phase_event_count(1), b.phase_event_count(1));
   EXPECT_EQ(a.digest(), b.digest());
-  const Timeline c = Timeline::expand(spec, 78);
+  const std::vector<Event> ea = all_events(a);
+  const std::vector<Event> eb = all_events(b);
+  ASSERT_EQ(ea.size(), eb.size());
+  for (std::size_t i = 0; i < ea.size(); ++i) {
+    EXPECT_EQ(ea[i].t_ns, eb[i].t_ns);
+    EXPECT_EQ(ea[i].kind, eb[i].kind);
+    EXPECT_EQ(ea[i].node, eb[i].node);
+  }
+  const Timeline c{spec, 78};
   EXPECT_NE(a.digest(), c.digest());
 }
 
 TEST(Timeline, EventsAreSortedAndInsidePhaseWindows) {
   const ScenarioSpec spec = dynamic_spec();
-  const Timeline tl = Timeline::expand(spec, 5);
+  const Timeline tl{spec, 5};
   std::int64_t prev = -1;
-  for (const Event& ev : tl.events()) {
-    EXPECT_GE(ev.t_ns, prev);
-    prev = ev.t_ns;
-    EXPECT_GE(ev.t_ns, tl.phase_start_ns(ev.phase));
-    EXPECT_LT(ev.t_ns, tl.phase_end_ns(ev.phase));
+  for (std::uint32_t pi = 0; pi < tl.phase_count(); ++pi) {
+    const std::vector<Event> events = walk(tl, pi);
+    EXPECT_EQ(events.size(), tl.phase_event_count(pi));
+    for (const Event& ev : events) {
+      EXPECT_GE(ev.t_ns, prev);
+      prev = ev.t_ns;
+      EXPECT_GE(ev.t_ns, tl.phase_start_ns(pi));
+      EXPECT_LT(ev.t_ns, tl.phase_end_ns(pi));
+    }
   }
   // The calm phase generated nothing but what its script asked for:
-  EXPECT_EQ(tl.phase_events(0).size(), 0u);
-  EXPECT_GT(tl.phase_events(1).size(), 0u);
+  EXPECT_EQ(tl.phase_event_count(0), 0u);
+  EXPECT_TRUE(tl.phase_cursor(0).done());
+  EXPECT_GT(tl.phase_event_count(1), 0u);
 }
 
 TEST(Timeline, JoinIdsAscendFromNodeCount) {
   const ScenarioSpec spec = dynamic_spec();
-  const Timeline tl = Timeline::expand(spec, 5);
+  const Timeline tl{spec, 5};
   net::NodeId expected = tl.first_join_id();
   EXPECT_EQ(expected, 100u);
   std::size_t joins = 0;
-  for (const Event& ev : tl.events()) {
+  for (const Event& ev : all_events(tl)) {
     if (ev.kind != EventKind::kJoin) continue;
     EXPECT_EQ(ev.node, expected++);
     EXPECT_GE(ev.pos.x, 0.0);
@@ -72,9 +102,9 @@ TEST(Timeline, JoinIdsAscendFromNodeCount) {
 
 TEST(Timeline, ChurnVictimsAreUniqueAndNeverTheBaseStation) {
   const ScenarioSpec spec = dynamic_spec();
-  const Timeline tl = Timeline::expand(spec, 5);
+  const Timeline tl{spec, 5};
   std::set<net::NodeId> departed;
-  for (const Event& ev : tl.events()) {
+  for (const Event& ev : all_events(tl)) {
     if (ev.kind != EventKind::kLeave && ev.kind != EventKind::kFail) continue;
     EXPECT_NE(ev.node, 0u);  // base station is exempt
     EXPECT_TRUE(departed.insert(ev.node).second)
@@ -86,10 +116,10 @@ TEST(Timeline, ChurnVictimsAreUniqueAndNeverTheBaseStation) {
 TEST(Timeline, DutyEventsAlternatePerNode) {
   ScenarioSpec spec = dynamic_spec();
   spec.churn = {};  // isolate the duty stream
-  const Timeline tl = Timeline::expand(spec, 5);
+  const Timeline tl{spec, 5};
   std::map<net::NodeId, EventKind> last;
   std::size_t duty_events = 0;
-  for (const Event& ev : tl.events()) {
+  for (const Event& ev : all_events(tl)) {
     if (ev.kind != EventKind::kSleep && ev.kind != EventKind::kWake) continue;
     ++duty_events;
     const auto it = last.find(ev.node);
@@ -108,29 +138,31 @@ TEST(Timeline, FullyActiveDutyGeneratesNothing) {
   ScenarioSpec spec = dynamic_spec();
   spec.churn = {};
   spec.duty.active_fraction = 1.0;
-  const Timeline tl = Timeline::expand(spec, 5);
-  for (const Event& ev : tl.events()) {
+  const Timeline tl{spec, 5};
+  for (const Event& ev : all_events(tl)) {
     EXPECT_NE(ev.kind, EventKind::kSleep);
     EXPECT_NE(ev.kind, EventKind::kWake);
   }
+  EXPECT_EQ(tl.phase_event_count(1), 2u);  // the two scripted walls
 }
 
 /// Pins the canonical order (time, kind, node, then generation order)
 /// on a spec that exercises every tie-break: churn in both phases, duty
 /// cycling, and two walls raised at the same instant, which only
-/// generation order separates.  The digest and count were computed by
-/// the index-sort expansion this one replaced.
+/// generation order separates.  The count and digest were recorded from
+/// the sorted expansions that preceded the cursor.
 TEST(Timeline, CanonicalOrderIsPinned) {
   ScenarioSpec spec = dynamic_spec();
   spec.phases[0].churn = true;
   spec.phases[1].events.push_back(
       {ScriptedEvent::Kind::kPartition, 0.5, 125.0});
-  const Timeline tl = Timeline::expand(spec, 5);
-  EXPECT_EQ(tl.events().size(), 657u);
+  const Timeline tl{spec, 5};
+  EXPECT_EQ(all_events(tl).size(), 657u);
+  EXPECT_EQ(tl.phase_event_count(0) + tl.phase_event_count(1), 657u);
   EXPECT_EQ(tl.digest(), 0x732c4245413384a7ULL);
 
   std::vector<double> walls;
-  for (const Event& ev : tl.phase_events(1)) {
+  for (const Event& ev : walk(tl, 1)) {
     if (ev.kind == EventKind::kPartition) walls.push_back(ev.pos.x);
   }
   EXPECT_EQ(walls, (std::vector<double>{250.0, 125.0}));
@@ -139,7 +171,7 @@ TEST(Timeline, CanonicalOrderIsPinned) {
 TEST(Timeline, RejectsInvalidSpecs) {
   ScenarioSpec spec = dynamic_spec();
   spec.phases.clear();
-  EXPECT_THROW((void)Timeline::expand(spec, 1), std::invalid_argument);
+  EXPECT_THROW((Timeline{spec, 1}), std::invalid_argument);
 }
 
 }  // namespace

@@ -141,8 +141,8 @@ def check_spec(doc, path, checker):
     af = duty.get("active_fraction", 0.8)
     if not 0.0 < af <= 1.0:
         checker.fail(f"{path}: duty.active_fraction must be in (0, 1]")
-    if duty.get("period_s", 2.0) <= 0:
-        checker.fail(f"{path}: duty.period_s must be > 0")
+    if not duty.get("period_s", 2.0) >= 1e-9:
+        checker.fail(f"{path}: duty.period_s must be >= 1e-9 (one nanosecond)")
 
     phases = doc.get("phases")
     if not isinstance(phases, list) or not phases:
