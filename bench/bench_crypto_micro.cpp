@@ -212,18 +212,6 @@ void BM_SealContextSetupMemoHit(benchmark::State& state) {
 }
 BENCHMARK(BM_SealContextSetupMemoHit);
 
-void BM_SealContextCacheHit(benchmark::State& state) {
-  crypto::SealContextCache cache{8};
-  const crypto::Key128 key = bench_key();
-  support::Bytes payload(36, 0x33);
-  std::uint64_t nonce = 0;
-  for (auto _ : state) {
-    auto sealed = cache.get(key).seal(++nonce, payload);
-    benchmark::DoNotOptimize(sealed);
-  }
-}
-BENCHMARK(BM_SealContextCacheHit);
-
 void BM_KeyChainGeneration(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {

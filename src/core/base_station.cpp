@@ -2,6 +2,7 @@
 
 #include "crypto/authenc.hpp"
 #include "crypto/prf.hpp"
+#include "crypto/seal_context.hpp"
 
 namespace ldke::core {
 
@@ -67,12 +68,12 @@ void BaseStation::on_delivered(net::Network& net,
       net.counters().increment("bs.counter_violation");
       return;
     }
-    auto ctx_it = e2e_contexts_.find(inner.source);
-    if (ctx_it == e2e_contexts_.end()) {
-      const crypto::Key128 ki = node_key_of(roots_, inner.source);
-      ctx_it = e2e_contexts_.try_emplace(inner.source, ki).first;
-    }
-    auto plain = ctx_it->second.open(inner.e2e_counter, inner.body);
+    const auto [ki, first] = node_keys_.try_emplace(inner.source);
+    if (first) ki->second = node_key_of(roots_, inner.source);
+    const crypto::SealContext ctx =
+        first ? crypto::SealContext{ki->second}
+              : crypto::SealContext::reuse(ki->second);
+    auto plain = ctx.open(inner.e2e_counter, inner.body);
     if (!plain) {
       ++e2e_auth_failures_;
       net.counters().increment("bs.e2e_auth_fail");

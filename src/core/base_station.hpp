@@ -12,7 +12,6 @@
 #include "core/provisioning.hpp"
 #include "core/sensor_node.hpp"
 #include "crypto/keychain.hpp"
-#include "crypto/seal_context.hpp"
 #include "support/flat_map.hpp"
 
 namespace ldke::core {
@@ -81,10 +80,11 @@ class BaseStation : public SensorNode {
   crypto::KeyChain chain_;
   MuTeslaBroadcaster mutesla_;
   std::uint32_t last_disclosed_interval_ = 0;
-  /// Ki reconstruction + pair derivation + cipher state, cached per
-  /// source: the decrypt loop would otherwise re-run two PRF evaluations
-  /// and the AES key schedule for every Step-1 reading it verifies.
-  support::FlatMap<net::NodeId, crypto::SealContext, 0> e2e_contexts_;
+  /// Ki per source that has sent a Step-1 reading: re-deriving it for
+  /// every reading would add a counted F.  An entry also says the base
+  /// station has charged the build of that Ki's context; every later
+  /// reading reuses the per-thread context memo uncounted.
+  support::FlatMap<net::NodeId, crypto::Key128, 0> node_keys_;
   support::FlatMap<net::NodeId, std::uint64_t, 0> expected_counter_;
   std::vector<Reading> readings_;
   std::uint64_t e2e_auth_failures_ = 0;

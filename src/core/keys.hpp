@@ -47,20 +47,6 @@ class ClusterKeySet {
   /// case while staying a modest 120 bytes inside every SensorNode.
   using KeyMap = support::FlatMap<ClusterId, crypto::Key128, 6>;
 
-  ClusterKeySet() = default;
-  // Copies carry only the keys; the per-cluster seal contexts are a
-  // cache and rebuild lazily on the copy's first use.
-  ClusterKeySet(const ClusterKeySet& other)
-      : keys_(other.keys_), own_cid_(other.own_cid_) {}
-  ClusterKeySet& operator=(const ClusterKeySet& other) {
-    keys_ = other.keys_;
-    own_cid_ = other.own_cid_;
-    contexts_.clear();
-    return *this;
-  }
-  ClusterKeySet(ClusterKeySet&&) = default;
-  ClusterKeySet& operator=(ClusterKeySet&&) = default;
-
   void set_own(ClusterId cid, const crypto::Key128& key);
 
   /// Stores a neighboring cluster's key; returns true if it was new.
@@ -70,14 +56,14 @@ class ClusterKeySet {
   /// neighboring); nullopt if the node does not border that cluster.
   [[nodiscard]] std::optional<crypto::Key128> key_for(ClusterId cid) const;
 
-  /// Cached seal/open context for cluster \p cid; nullptr if the node
-  /// does not hold that cluster's key.  Built lazily on first use and
-  /// re-validated against the stored key, so replace()/hash_refresh_all()
-  /// invalidate it automatically.  This is the per-packet hot path: every
-  /// hop envelope is sealed and opened through one of these.  The pointer
-  /// aims into flat storage: valid only until the next ClusterKeySet
-  /// mutation (every call site uses it immediately).
-  [[nodiscard]] const crypto::SealContext* context_for(ClusterId cid) const;
+  /// Seal/open context for cluster \p cid, from the per-thread context
+  /// memo (crypto/seal_context.hpp); nullopt if the node does not hold
+  /// that cluster's key.  The first use of each key value charges the
+  /// build, every later one reuses the memo uncounted, until the key's
+  /// bytes change (crypto/obs.hpp).  This is the per-packet hot path:
+  /// every hop envelope is sealed and opened through one of these.
+  [[nodiscard]] std::optional<crypto::SealContext> context_for(
+      ClusterId cid) const;
 
   /// Replaces the stored key for \p cid (key refresh); returns false if
   /// the cid is unknown.
@@ -107,22 +93,15 @@ class ClusterKeySet {
 
   void clear() noexcept {
     keys_.clear();
-    contexts_.clear();
+    built_.clear();
     own_cid_ = kNoCluster;
   }
 
  private:
-  struct ContextSlot {
-    crypto::Key128 key;  ///< key the context was built for (staleness check)
-    crypto::SealContext ctx;
-    explicit ContextSlot(const crypto::Key128& k) : key(k), ctx(k) {}
-  };
-
   KeyMap keys_;
-  /// Lazy per-cluster contexts (by value — the slot is the cache, no
-  /// per-entry heap node); entries for dropped cids are pruned by the
-  /// mutators, entries for replaced keys rebuild on the key mismatch.
-  mutable support::FlatMap<ClusterId, ContextSlot, 0> contexts_;
+  /// Clusters whose current key has had its context built: the mutators
+  /// drop a cid whenever its key's bytes change or the key goes.
+  mutable support::FlatSet<ClusterId, 0> built_;
   ClusterId own_cid_ = kNoCluster;
 };
 

@@ -21,8 +21,8 @@ using net::PacketKind;
 void SensorNode::broadcast_under_current_key(
     net::Network& net, PacketKind kind, std::span<const std::uint8_t> body,
     net::NodeId next_hop) {
-  const crypto::SealContext* ctx = keys_.context_for(keys_.own_cid());
-  if (ctx == nullptr) return;  // no cluster key (e.g. just evicted)
+  const auto ctx = keys_.context_for(keys_.own_cid());
+  if (!ctx) return;  // no cluster key (e.g. just evicted)
   wsn::DataHeader header;
   header.cid = keys_.own_cid();
   header.next_hop = next_hop;

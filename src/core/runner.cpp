@@ -42,9 +42,6 @@ ProtocolRunner::ProtocolRunner(RunnerConfig config)
   for (net::NodeId id = 0; id < config_.node_count; ++id) {
     NodeSecrets secrets =
         provisioner.provision(id, commitment_, mutesla_commitment_);
-    // Every original node holds the same Km: expand its seal schedule
-    // once and let the nodes borrow it for the setup phase.
-    if (!master_ctx_) master_ctx_.emplace(secrets.master_key);
     if (id == 0 && config_.with_base_station) {
       auto bs = std::make_unique<BaseStation>(std::move(secrets), protocol_,
                                               roots_);
@@ -54,7 +51,6 @@ ProtocolRunner::ProtocolRunner(RunnerConfig config)
       nodes_.push_back(
           std::make_unique<SensorNode>(std::move(secrets), protocol_));
     }
-    nodes_.back()->set_shared_master_context(&*master_ctx_);
     network_->attach(*nodes_.back());
   }
   setup_sharding();

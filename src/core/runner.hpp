@@ -14,7 +14,6 @@
 #include "core/provisioning.hpp"
 #include "core/sensor_node.hpp"
 #include "crypto/obs.hpp"
-#include "crypto/seal_context.hpp"
 #include "net/network.hpp"
 #include "net/payload_arena.hpp"
 #include "obs/delivery.hpp"
@@ -150,11 +149,6 @@ class ProtocolRunner {
   DeploymentSecrets roots_;
   crypto::Key128 commitment_;
   crypto::Key128 mutesla_commitment_;
-  /// Deployment-shared Km seal context: all original nodes carry the
-  /// same master key, so its AES/HMAC schedule is expanded once here
-  /// instead of once per node.  Declared before nodes_ so it outlives
-  /// every borrower.
-  std::optional<crypto::SealContext> master_ctx_;
   /// Payload bytes for every packet sent while this runner drives the
   /// sim; reset between phases recycles chunks whose payloads are gone.
   net::PayloadArena payload_arena_;

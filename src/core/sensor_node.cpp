@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "crypto/authenc.hpp"
 #include "crypto/hmac.hpp"
@@ -21,6 +22,13 @@ using net::PacketKind;
 /// (kind, sender) since each node sends each setup message at most once.
 constexpr std::uint64_t setup_nonce(PacketKind kind, net::NodeId id) noexcept {
   return (std::uint64_t{static_cast<std::uint8_t>(kind)} << 32) | id;
+}
+
+/// A holder's context for one of its own keys: the first use charges the
+/// build, every later one reuses the memo uncounted (crypto/obs.hpp).
+crypto::SealContext held_context(const crypto::Key128& key, bool& built) {
+  if (std::exchange(built, true)) return crypto::SealContext::reuse(key);
+  return crypto::SealContext{key};
 }
 
 }  // namespace
@@ -56,9 +64,8 @@ MuTeslaReceiver& SensorNode::ensure_mutesla() {
   return *mutesla_;
 }
 
-const crypto::SealContext& SensorNode::master_context() {
-  if (shared_master_ctx_ != nullptr) return *shared_master_ctx_;
-  return secret_seal_cache_.get(secrets_.master_key);
+crypto::SealContext SensorNode::master_context() {
+  return held_context(secrets_.master_key, master_built_);
 }
 
 void SensorNode::start(net::Network& net) {
@@ -110,11 +117,9 @@ void SensorNode::schedule_master_erase(net::Network& net) {
   const auto erase_at = std::max(
       net.sim().now(), sim::SimTime::from_seconds(config().master_erase_s));
   net.sim().schedule_at(erase_at, [this] {
-    // Drop the cached Km context along with Km itself — erasure must not
-    // leave derived state behind (§IV-B).  The shared context is the
-    // runner's; this node merely stops borrowing it.
-    secret_seal_cache_.invalidate(secrets_.master_key);
-    shared_master_ctx_ = nullptr;
+    // The node keeps no Km context of its own, so erasing Km erases all
+    // it holds of it (§IV-B).
+    master_built_ = false;
     secrets_.erase_master();
   });
 }
@@ -240,7 +245,7 @@ bool SensorNode::send_reading(net::Network& net,
     // shared counter providing semantic security.
     inner.e2e_counter = ++e2e_counter_;
     inner.e2e_encrypted = 1;
-    inner.body = secret_seal_cache_.get(secrets_.node_key)
+    inner.body = held_context(secrets_.node_key, node_key_built_)
                      .seal(inner.e2e_counter, payload);
   } else {
     inner.body.assign(payload.begin(), payload.end());
@@ -289,8 +294,8 @@ std::optional<support::Bytes> SensorNode::open_envelope(
     return std::nullopt;
   }
   header = env->header;
-  const crypto::SealContext* ctx = keys_.context_for(header.cid);
-  if (ctx == nullptr) {
+  const auto ctx = keys_.context_for(header.cid);
+  if (!ctx) {
     // Not a bordering cluster: cannot translate (expected for most of the
     // network — locality is the point).
     net.counters().increment("envelope.no_key");

@@ -229,16 +229,6 @@ class SensorNode : public net::Node {
     forward_drop_probability_ = p;
   }
 
-  /// Deployment-shared Km seal context.  All original nodes hold the
-  /// same master key, so the runner builds its schedule once and every
-  /// node borrows it during setup instead of expanding a private copy
-  /// (~300 bytes each).  The pointer must outlive the setup phase; it is
-  /// dropped when Km is erased.  Nodes without one (standalone tests)
-  /// fall back to their own cached context.
-  void set_shared_master_context(const crypto::SealContext* ctx) noexcept {
-    shared_master_ctx_ = ctx;
-  }
-
   /// Rollover tests: positions the envelope-nonce counter near its wrap
   /// point without replaying billions of sends.  next_nonce() hard-errors
   /// when the counter is exhausted instead of silently truncating.
@@ -269,6 +259,13 @@ class SensorNode : public net::Node {
   NodeSecrets secrets_;
 
  private:
+  /// Whether the node has charged its context build for Km and for Ki
+  /// (crypto/obs.hpp); the Km erase clears its flag.  Beside secrets_,
+  /// in its padding, so the setup handlers' Km reads touch no cache line
+  /// that their secrets_ checks have not already loaded.
+  bool master_built_ = false;
+  bool node_key_built_ = false;
+
   // setup phase
   void on_election_timer(net::Network& net);
   /// Schedules the §IV-B Km erase at the absolute deadline (called from
@@ -372,15 +369,9 @@ class SensorNode : public net::Node {
   std::vector<DiffusionSample> diffusion_samples_;
   support::FlatMap<InterestId, std::uint32_t, 0> publish_seq_;
 
-  /// Cached seal contexts for the node's long-lived secrets: Km during
-  /// setup (when no deployment-shared context is installed) and Ki for
-  /// Step-1 end-to-end envelopes.  Cluster-key contexts live inside
-  /// keys_ (context_for).
-  crypto::SealContextCache secret_seal_cache_{2};
-  const crypto::SealContext* shared_master_ctx_ = nullptr;
-  /// Seal/open context for Km: the shared one when installed, else the
-  /// node's own cache.
-  [[nodiscard]] const crypto::SealContext& master_context();
+  /// Seal/open context for Km during setup, from the per-thread context
+  /// memo like keys_.context_for().
+  [[nodiscard]] crypto::SealContext master_context();
 
   std::uint32_t envelope_counter_ = 0;
   std::uint32_t hash_epoch_ = 0;

@@ -6,8 +6,9 @@ namespace ldke::crypto {
 
 // The free functions are thin one-shot wrappers over SealContext: they
 // pay the full per-key setup (pair derivation, AES key schedule, HMAC
-// midstates) on every call.  Hot paths hold a SealContext (or go through
-// a SealContextCache) instead and skip all of it.
+// midstates) on every call.  Hot paths use a SealContext from the
+// per-thread context memo (SealContext(const Key128&), SealContext::reuse)
+// instead and skip all of it.
 
 support::Bytes seal(const KeyPair& keys, std::uint64_t nonce,
                     std::span<const std::uint8_t> plain,

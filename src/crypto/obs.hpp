@@ -17,6 +17,15 @@
 /// and, for a rejected envelope, open_failures).  Totals, per-node
 /// attribution and lane determinism are therefore independent of which
 /// calls hit.
+///
+/// A holder (a node, for its key set S, Km and Ki; the base station, for
+/// each source's Ki) builds a context once per key value, as a mote
+/// keeps its cipher state until the key changes: its first use of a key
+/// value is the counted SealContext(const Key128&), and every later use
+/// is SealContext::reuse, which counts nothing.  The holder keeps one
+/// "built" flag per key in use and clears it exactly when that key's
+/// bytes change, so a refresh, a replace with new bytes, a revocation or
+/// an erase makes the next use charge once more.
 
 #include <cstdint>
 

@@ -17,21 +17,28 @@ namespace {
 static_assert(sizeof(SealContext) ==
               sizeof(AesCtrContext) + sizeof(HmacMidstate));
 
-/// Contexts by root key, per thread: after a refresh every holder of a
-/// cluster key rebuilds its context, and only the first pays for the
-/// pair derivation, the AES schedule and the HMAC midstates.  512
-/// contexts (about 140 KiB): doubling them gains under one point of hit
-/// rate on the 2k-100k node workloads.
+/// Contexts by root key, per thread: the only store of a context built
+/// from a key.  Every member and bordering node of a cluster uses its key,
+/// and only the first use in the process pays for the pair derivation,
+/// the AES schedule and the HMAC midstates.  512 contexts (about
+/// 140 KiB): doubling them gains under one point of hit rate on the
+/// 2k-100k node workloads.
 using ContextMemo = detail::KeyMemo<SealContext, 256>;
 
-const SealContext& memoized_context(const Key128& key) noexcept {
+/// The memo's context for \p key, computed on a miss.  With \p charge the
+/// call counts the two prf calls of PrfContext::pair(), hit or miss;
+/// without, it counts nothing.
+const SealContext& memoized_context(const Key128& key, bool charge) noexcept {
   static thread_local const auto memo = std::make_unique<ContextMemo>();
-  if (const SealContext* hit = memo->find(key)) {
-    // The two prf calls of PrfContext::pair(), as if it had run.
-    if (CryptoCounters* sink = crypto_counters_sink()) sink->prf_calls += 2;
-    return *hit;
+  CryptoCounters* const sink = crypto_counters_sink();
+  const SealContext* ctx = memo->find(key);
+  if (ctx == nullptr) {
+    set_crypto_counters_sink(nullptr);
+    ctx = &memo->emplace(key, PrfContext{key}.pair());
+    set_crypto_counters_sink(sink);
   }
-  return memo->emplace(key, PrfContext{key}.pair());
+  if (charge && sink != nullptr) sink->prf_calls += 2;
+  return *ctx;
 }
 
 /// Inputs beyond these sizes are opened without the memo; every frame the
@@ -64,7 +71,11 @@ bool same_bytes(std::span<const std::uint8_t> a, const std::uint8_t* b) {
 }  // namespace
 
 SealContext::SealContext(const Key128& key) noexcept
-    : SealContext(memoized_context(key)) {}
+    : SealContext(memoized_context(key, true)) {}
+
+SealContext SealContext::reuse(const Key128& key) noexcept {
+  return memoized_context(key, false);
+}
 
 MacTag SealContext::envelope_tag(std::uint64_t nonce,
                                  std::span<const std::uint8_t> cipher,
@@ -154,40 +165,6 @@ std::optional<support::Bytes> SealContext::open(
     if (plain) std::ranges::copy(*plain, last.plain.begin());
   }
   return plain;
-}
-
-const SealContext& SealContextCache::get(const Key128& key) {
-  ++clock_;
-  Slot* oldest = nullptr;
-  for (auto& slot : slots_) {
-    if (slot.key == key) {
-      slot.stamp = clock_;
-      ++hits_;
-      return *slot.ctx;
-    }
-    if (oldest == nullptr || slot.stamp < oldest->stamp) oldest = &slot;
-  }
-  ++misses_;
-  if (slots_.size() < capacity_) {
-    slots_.push_back(
-        Slot{key, clock_, std::make_unique<SealContext>(key)});
-    return *slots_.back().ctx;
-  }
-  oldest->key = key;
-  oldest->stamp = clock_;
-  *oldest->ctx = SealContext{key};
-  return *oldest->ctx;
-}
-
-bool SealContextCache::invalidate(const Key128& key) noexcept {
-  for (auto& slot : slots_) {
-    if (slot.key == key) {
-      if (&slot != &slots_.back()) slot = std::move(slots_.back());
-      slots_.pop_back();
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace ldke::crypto

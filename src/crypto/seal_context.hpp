@@ -14,10 +14,8 @@
 /// the equivalence against an independent reference implementation.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "crypto/ctr.hpp"
 #include "crypto/hmac.hpp"
@@ -35,8 +33,15 @@ class SealContext {
   /// contexts — the cached equivalent of seal_with/open_with.  Memoized
   /// per thread on the exact key: every holder of a cluster key after the
   /// first copies the context built for it, and still counts the two prf
-  /// calls of the derivation (crypto/obs.hpp).
+  /// calls of the derivation (crypto/obs.hpp).  This is a holder's build:
+  /// its first use of a key value.
   explicit SealContext(const Key128& key) noexcept;
+
+  /// The same memo's context for \p key, counting nothing, even when a
+  /// miss recomputes it: every use of a key value after the holder's
+  /// build.  By value, so no reference into the memo outlives a later
+  /// build.
+  [[nodiscard]] static SealContext reuse(const Key128& key) noexcept;
 
   /// Caches contexts for an already-derived pair — the cached equivalent
   /// of seal/open.
@@ -65,47 +70,6 @@ class SealContext {
 
   AesCtrContext ctr_;
   HmacMidstate mac_mid_;
-};
-
-/// Small LRU cache of SealContexts keyed by Key128 value, for callers
-/// that seal under many keys (a node's key set S, the base station's
-/// per-node Ki).  Keying by value makes refresh/replace invalidation
-/// automatic: a replaced key simply misses and builds a fresh context,
-/// and the stale entry ages out.  Linear scan — capacities are Figure-6
-/// sized (a handful of keys), where a flat array beats any hash map.
-class SealContextCache {
- public:
-  explicit SealContextCache(std::size_t capacity = 8)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Returns the context for \p key, building and caching it on a miss
-  /// (evicting the least-recently-used entry when full).  The reference
-  /// is valid until the next get()/invalidate()/clear().
-  [[nodiscard]] const SealContext& get(const Key128& key);
-
-  /// Drops the entry for \p key (e.g. when Km is erased); returns
-  /// whether one was held.
-  bool invalidate(const Key128& key) noexcept;
-
-  void clear() noexcept { slots_.clear(); }
-
-  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-
- private:
-  struct Slot {
-    Key128 key;
-    std::uint64_t stamp = 0;  // LRU clock at last use
-    std::unique_ptr<SealContext> ctx;
-  };
-
-  std::vector<Slot> slots_;
-  std::size_t capacity_;
-  std::uint64_t clock_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace ldke::crypto

@@ -2,8 +2,8 @@
 /// \file flat_map.hpp
 /// Cache-friendly sorted containers for small cardinalities.
 ///
-/// Per-node protocol state (cluster keys, neighbor-cluster contexts,
-/// per-interest diffusion entries, nonce windows) holds roughly
+/// Per-node protocol state (cluster keys, per-interest diffusion
+/// entries, nonce windows) holds roughly
 /// *density* entries — 8 to 20 — but was stored in `std::map` /
 /// `std::unordered_map`, paying a heap node and two-plus cache misses
 /// per entry.  At 100k nodes those per-entry nodes dominate the

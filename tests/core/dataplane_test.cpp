@@ -156,8 +156,10 @@ TEST(DataPlane, FramesAndDeliveriesMatchTheRecordedOutput) {
   EXPECT_EQ(totals.opened_bytes, 2860627u);
   EXPECT_EQ(totals.open_failures, 1757u);
   // 4,221 were charged to the nodes before, and 893 — the refresh
-  // rounds' F calls and the revocation — to the engine's own sink.
-  EXPECT_EQ(totals.prf_calls, 4221u + 893u);
+  // rounds' F calls and the revocation — to the engine's own sink.  Each
+  // of the 150 original nodes now charges its own Km context build (two
+  // F calls), and the runner no longer builds a shared one (two fewer).
+  EXPECT_EQ(totals.prf_calls, 4221u + 893u + 2u * 150u - 2u);
 }
 
 TEST(DataPlane, TracesMatchTheRecordedOutput) {

@@ -56,6 +56,28 @@ TEST(Forwarding, MultiHopPathReencryptsPerCluster) {
   EXPECT_EQ(runner->base_station()->readings().size(), 1u);
 }
 
+TEST(Forwarding, RepeatedReadingsChargeEachKiBuildOnce) {
+  auto runner = after_routing();
+  const net::NodeId source = pick_far_node(*runner);
+  const SensorNode& node = runner->node(source);
+  const BaseStation& bs = *runner->base_station();
+  const std::uint64_t bs_before = bs.crypto_stats().prf_calls;
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t before = node.crypto_stats().prf_calls;
+    ASSERT_TRUE(runner->node(source).send_reading(runner->network(),
+                                                  support::bytes_of("r")));
+    // The first origination builds the Ki context (two F calls); the
+    // cluster key's context was built when the node sent its beacon.
+    EXPECT_EQ(node.crypto_stats().prf_calls - before, i == 0 ? 2u : 0u)
+        << "origination " << i;
+    runner->run_for(3.0);
+  }
+  EXPECT_EQ(bs.readings().size(), 8u);
+  // The base station derives Ki = F(root, source) once and builds its
+  // context once.
+  EXPECT_EQ(bs.crypto_stats().prf_calls - bs_before, 1u + 2u);
+}
+
 TEST(Forwarding, ManySourcesAllDelivered) {
   auto runner = after_routing();
   std::size_t sent = 0;

@@ -1,6 +1,7 @@
-// The per-thread memos behind one_way, SealContext(const Key128&) and
-// SealContext::open: exact-input hits only, the same counter increments as
-// the computation, and the same results from any number of threads.
+// The per-thread memos behind one_way, SealContext(const Key128&) with
+// SealContext::reuse, and SealContext::open: exact-input hits only, the
+// same counter increments as the computation (none for reuse), and the
+// same results from any number of threads.
 
 #include <gtest/gtest.h>
 
@@ -240,6 +241,26 @@ TEST(ContextMemo, KeysSharingASetGetTheirOwnContexts) {
       EXPECT_EQ(counts.prf_calls, 4u);
     }
   }
+}
+
+TEST(ContextMemo, ReuseCountsNothingHitOrMissAndSealsLikeTheBuild) {
+  Drbg drbg{0x0c3};
+  const Key128 key = drbg.next_key();
+  const Bytes plain = random_bytes(drbg, 36);
+  const Bytes want = SealContext{derive_pair(key)}.seal(3, plain);
+
+  CryptoCounters counts;
+  ScopedCryptoCounters scope{counts};
+  EXPECT_EQ(SealContext::reuse(key).seal(3, plain), want);  // may hit
+  // Two keys of the same set push the first out: the next reuse misses
+  // and recomputes, still uncounted, and leaves the sink installed.
+  (void)SealContext::reuse(same_set_as(key, 1));
+  (void)SealContext::reuse(same_set_as(key, 2));
+  EXPECT_EQ(SealContext::reuse(key).seal(3, plain), want);
+  EXPECT_EQ(counts.prf_calls, 0u);
+  EXPECT_EQ(crypto_counters_sink(), &counts);
+  EXPECT_EQ(SealContext{key}.seal(3, plain), want);
+  EXPECT_EQ(counts.prf_calls, 2u);
 }
 
 // ---- one_way ----

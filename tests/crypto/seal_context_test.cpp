@@ -180,88 +180,5 @@ TEST(SealContext, EmptyPlaintextRoundTrips) {
   EXPECT_TRUE(opened->empty());
 }
 
-// ---- SealContextCache ----
-
-TEST(SealContextCache, HitsAndMissesAreCounted) {
-  Drbg drbg{9};
-  SealContextCache cache{4};
-  const Key128 a = drbg.next_key();
-  const Key128 b = drbg.next_key();
-  (void)cache.get(a);
-  (void)cache.get(a);
-  (void)cache.get(b);
-  (void)cache.get(a);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(SealContextCache, CachedContextProducesIdenticalBytes) {
-  Drbg drbg{10};
-  SealContextCache cache{2};
-  for (int trial = 0; trial < 6; ++trial) {
-    const Key128 key = drbg.next_key();
-    const Bytes plain = random_bytes(drbg, 50);
-    EXPECT_EQ(cache.get(key).seal(3, plain), seal_with(key, 3, plain));
-  }
-}
-
-TEST(SealContextCache, EvictsLeastRecentlyUsed) {
-  Drbg drbg{11};
-  SealContextCache cache{2};
-  const Key128 a = drbg.next_key();
-  const Key128 b = drbg.next_key();
-  const Key128 c = drbg.next_key();
-  (void)cache.get(a);
-  (void)cache.get(b);
-  (void)cache.get(a);  // a is now more recent than b
-  (void)cache.get(c);  // evicts b
-  EXPECT_EQ(cache.size(), 2u);
-  const auto misses_before = cache.misses();
-  (void)cache.get(a);
-  (void)cache.get(c);
-  EXPECT_EQ(cache.misses(), misses_before);  // both still resident
-  (void)cache.get(b);
-  EXPECT_EQ(cache.misses(), misses_before + 1);  // b was the victim
-}
-
-TEST(SealContextCache, InvalidateDropsOnlyThatKey) {
-  Drbg drbg{12};
-  SealContextCache cache{4};
-  const Key128 a = drbg.next_key();
-  const Key128 b = drbg.next_key();
-  (void)cache.get(a);
-  (void)cache.get(b);
-  EXPECT_TRUE(cache.invalidate(a));
-  EXPECT_FALSE(cache.invalidate(a));  // already gone
-  EXPECT_EQ(cache.size(), 1u);
-  const auto misses_before = cache.misses();
-  (void)cache.get(b);
-  EXPECT_EQ(cache.misses(), misses_before);  // b untouched
-}
-
-TEST(SealContextCache, ValueKeyingMakesRefreshAutomatic) {
-  // A "refreshed" key is a different Key128 value, so it can never hit a
-  // stale entry: the old value simply stops being requested.
-  Drbg drbg{13};
-  SealContextCache cache{4};
-  Key128 key = drbg.next_key();
-  const Bytes plain = bytes_of("reading");
-  const Bytes before = cache.get(key).seal(1, plain);
-  one_way_inplace(key);  // hash refresh (§IV-D)
-  const Bytes after = cache.get(key).seal(1, plain);
-  EXPECT_NE(before, after);
-  EXPECT_EQ(after, seal_with(key, 1, plain));
-}
-
-TEST(SealContextCache, ZeroCapacityIsClampedToOne) {
-  Drbg drbg{14};
-  SealContextCache cache{0};
-  EXPECT_EQ(cache.capacity(), 1u);
-  (void)cache.get(drbg.next_key());
-  (void)cache.get(drbg.next_key());
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 }  // namespace
 }  // namespace ldke::crypto

@@ -413,6 +413,10 @@ int cmd_scenario(const CliOptions& opt, const std::string& path) {
               << "(schema in docs/scenarios.md)\n";
     return 1;
   }
+  if (const std::string problem = spec->validate(); !problem.empty()) {
+    std::cerr << path << ": invalid spec: " << problem << '\n';
+    return 1;
+  }
 
   char digest_hex[17];
   core::ProtocolRunner runner{
