@@ -6,8 +6,7 @@
 /// scheduling time, so its cost grew with density; a shared immutable
 /// buffer makes it O(1) allocations per transmission.
 ///
-/// run_benches.sh records this suite as results/BENCH_net_micro.json and
-/// diffs it against the committed baseline.
+/// run_benches.sh records this suite as results/BENCH_net_micro.json.
 
 #include <benchmark/benchmark.h>
 
@@ -18,8 +17,8 @@
 #include "net/channel.hpp"
 #include "net/payload.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace {
 
@@ -45,7 +44,7 @@ void BM_ChannelBroadcast(benchmark::State& state) {
   auto topo = star_topology(neighbors);
   net::EnergyModel energy;
   energy.resize(topo.size());
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   net::Channel channel{sim, topo, energy, counters, {}};
   std::uint64_t delivered = 0;
   channel.set_delivery_handler([&](net::NodeId, const net::Packet& pkt) {

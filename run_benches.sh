@@ -9,8 +9,8 @@
 # build/ tree may be Debug, or carry an empty cached CMAKE_BUILD_TYPE
 # from an old configure) and refuses to record otherwise.  The
 # google-benchmark micro suites additionally emit machine-readable JSON
-# (results/BENCH_crypto_micro.json, results/BENCH_sim_micro.json) for
-# before/after diffing.
+# (results/BENCH_crypto_micro.json, results/BENCH_sim_micro.json,
+# results/BENCH_net_micro.json).
 #
 # Note: google-benchmark's "Library was built as DEBUG" console warning
 # and the JSON's "library_build_type" field describe the *installed
@@ -39,7 +39,7 @@ esac
 mkdir -p results
 status=0
 
-# google-benchmark suites that also record JSON for before/after diffing.
+# google-benchmark suites that also record machine-readable JSON.
 declare -A json_out=(
   [bench_crypto_micro]=BENCH_crypto_micro.json
   [bench_sim_micro]=BENCH_sim_micro.json
@@ -59,39 +59,6 @@ for b in "$BUILD_DIR"/bench/bench_*; do
   rc=$?
   echo "exit=$rc ($name)"
   [ $rc -ne 0 ] && status=1
-done
-
-# Diff each fresh micro-suite JSON against its committed *_before.json
-# baseline, when one exists (e.g. results/BENCH_net_micro_before.json
-# was captured on the pre-zero-copy seed).
-for after in results/BENCH_*_micro.json; do
-  [ -f "$after" ] || continue
-  before="${after%.json}_before.json"
-  [ -f "$before" ] || continue
-  echo "=== diff $(basename "$before") -> $(basename "$after") ==="
-  python3 - "$before" "$after" <<'PYEOF'
-import json, sys
-
-def load(path):
-    out = {}
-    for b in json.load(open(path))["benchmarks"]:
-        out[b["name"]] = b
-    return out
-
-before, after = load(sys.argv[1]), load(sys.argv[2])
-for name in before:
-    if name not in after:
-        continue
-    b, a = before[name], after[name]
-    bt, at = b["real_time"], a["real_time"]
-    line = f"{name:40s} {bt:10.1f} -> {at:10.1f} {a['time_unit']}"
-    if bt > 0:
-        line += f"  ({(at - bt) / bt * 100.0:+.1f}%)"
-    for counter in ("allocs_per_tx", "deliveries_per_tx"):
-        if counter in a:
-            line += f"  {counter}={a[counter]:g}"
-    print(line)
-PYEOF
 done
 
 # Diff the fresh data-plane bench against the committed baseline (the

@@ -28,6 +28,16 @@ obs::JsonValue cluster_sizes_json(const support::IntHistogram& hist) {
   return counts.is_null() ? obs::JsonValue{obs::JsonObject{}} : counts;
 }
 
+/// The trace_drops record of one family, written only when its log
+/// evicted records.
+template <class Log>
+void write_drops(obs::TraceSink& sink, std::string_view family,
+                 const Log* log) {
+  if (log == nullptr || log->total_dropped() == 0) return;
+  sink.write_trace_drops(family, log->total_seen(), log->total_recorded(),
+                         log->total_dropped());
+}
+
 obs::JsonValue phases_json(const std::vector<obs::TraceSpan>& phases) {
   obs::JsonValue arr{obs::JsonArray{}};
   for (const obs::TraceSpan& span : phases) {
@@ -149,6 +159,7 @@ obs::JsonValue to_json(const RunSummary& s) {
   crypto.set("prf_calls", s.crypto.prf_calls);
   crypto.set("sealed_bytes", s.crypto.sealed_bytes);
   crypto.set("opened_bytes", s.crypto.opened_bytes);
+  crypto.set("macs", s.crypto.macs);
   out.set("crypto", std::move(crypto));
 
   obs::JsonValue energy;
@@ -251,6 +262,7 @@ std::optional<RunSummary> run_summary_from_json(const obs::JsonValue& value) {
         static_cast<std::uint64_t>(crypto->int_at("sealed_bytes"));
     s.crypto.opened_bytes =
         static_cast<std::uint64_t>(crypto->int_at("opened_bytes"));
+    s.crypto.macs = static_cast<std::uint64_t>(crypto->int_at("macs"));
   }
   if (const obs::JsonValue* energy = value.find("energy")) {
     s.energy.total_j = energy->number_at("total_j");
@@ -310,9 +322,8 @@ void write_trace_jsonl(std::ostream& os, core::ProtocolRunner& runner,
   for (const obs::TraceSpan& span : runner.timeline().spans()) {
     sink.write_span(span);
   }
-  const net::PacketTrace* trace = artifacts.packets;
-  if (trace != nullptr) {
-    for (const net::TraceRecord& r : trace->merged_records()) {
+  if (artifacts.packets != nullptr) {
+    for (const net::TraceRecord& r : artifacts.packets->merged()) {
       sink.write_packet(r.time_ns, r.sender, net::packet_kind_name(r.kind),
                         r.size_bytes);
     }
@@ -330,18 +341,8 @@ void write_trace_jsonl(std::ostream& os, core::ProtocolRunner& runner,
     sink.write_health(sample);
   }
   sink.write_counters(runner.network().counters().snapshot_json());
-  if (trace != nullptr && (trace->dropped_records() > 0 ||
-                           trace->filtered() > 0)) {
-    sink.write_trace_drops(trace->total_seen(), trace->recorded(),
-                           trace->dropped_records(), trace->filtered());
-  }
-}
-
-void write_trace_jsonl(std::ostream& os, core::ProtocolRunner& runner,
-                       std::string_view tool, const net::PacketTrace* trace) {
-  TraceArtifacts artifacts;
-  artifacts.packets = trace;
-  write_trace_jsonl(os, runner, tool, artifacts);
+  write_drops(sink, "pkt", artifacts.packets);
+  write_drops(sink, "audit", artifacts.audit);
 }
 
 }  // namespace ldke::analysis

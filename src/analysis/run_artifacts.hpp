@@ -101,8 +101,7 @@ struct RunSummary {
 void write_run_summary(std::ostream& os, const RunSummary& summary);
 
 /// Optional recorders and extra meta for write_trace_jsonl.  All members
-/// default to absent, so `{.packets = &trace}` upgrades a v1-shaped call
-/// without touching the other families.
+/// default to absent.
 struct TraceArtifacts {
   const net::PacketTrace* packets = nullptr;
   const obs::AuditSink* audit = nullptr;
@@ -114,16 +113,13 @@ struct TraceArtifacts {
 
 /// Writes the versioned JSONL trace for a trial: meta line, phase spans,
 /// packet records, audit events, delivery samples, health samples,
-/// counter snapshot, and a trace_drops line when the packet log is
-/// incomplete.  Lane-sharded recorders are merged in canonical order, so
-/// the output is byte-identical at any lane count (the counters snapshot
-/// is the one lane-count-dependent line, carrying kernel.* gauges).
-void write_trace_jsonl(std::ostream& os, core::ProtocolRunner& runner,
-                       std::string_view tool, const TraceArtifacts& artifacts);
-
-/// Packet-only convenience overload (the pre-v2 call shape).
+/// counter snapshot, and one trace_drops line per record family ("pkt",
+/// "audit") whose log evicted records.  Lane-sharded logs are merged in
+/// canonical order, so while no log evicts (each shard evicts on its own)
+/// the output is byte-identical at any lane count; the counters snapshot
+/// is the one lane-count-dependent line, carrying kernel.* gauges.
 void write_trace_jsonl(std::ostream& os, core::ProtocolRunner& runner,
                        std::string_view tool,
-                       const net::PacketTrace* trace = nullptr);
+                       const TraceArtifacts& artifacts = {});
 
 }  // namespace ldke::analysis

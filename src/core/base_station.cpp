@@ -43,6 +43,7 @@ void BaseStation::start_command_channel(net::Network& net) {
 
 bool BaseStation::broadcast_command(net::Network& net,
                                     std::span<const std::uint8_t> payload) {
+  crypto::ScopedCryptoCounters obs_guard{crypto_account()};
   const auto cmd = mutesla_.make_command(net.sim().now(), payload);
   if (!cmd) return false;
   net.broadcast(

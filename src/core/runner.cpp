@@ -68,19 +68,11 @@ void ProtocolRunner::setup_sharding() {
   }
   // The lookahead must lower-bound every cross-lane latency; the
   // channel's minimum (empty-frame airtime + propagation) is exactly
-  // that bound.  A smaller configured window only adds barriers, so the
-  // override is clamped to the safe value from above.
-  sim::SimTime lookahead = network_->channel().min_latency();
-  if (config_.kernel.window_s > 0.0) {
-    lookahead = std::min(
-        lookahead, sim::SimTime::from_seconds(config_.kernel.window_s));
-  }
+  // that bound.
+  const sim::SimTime lookahead = network_->channel().min_latency();
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t threads = config_.kernel.threads != 0
-                                  ? config_.kernel.threads
-                                  : std::min(lanes, hw);
-  pool_ = std::make_unique<support::ThreadPool>(threads);
+  pool_ = std::make_unique<support::ThreadPool>(std::min(lanes, hw));
   sim_.enable_sharding(lanes, lookahead, *pool_);
   network_->enable_lanes(*sim_.kernel());
   lane_crypto_.assign(lanes, {});
@@ -108,7 +100,7 @@ void ProtocolRunner::fold_lane_state() {
 
   // Lane-balance figures for ldke_trace's summary.  Gauges (overwrite
   // semantics) so repeated folds stay idempotent.
-  sim::TraceCounters& counters = network_->counters();
+  obs::MetricRegistry& counters = network_->counters();
   counters.set_gauge("kernel.lanes",
                      static_cast<double>(kernel->lane_count()));
   counters.set_gauge("kernel.windows", static_cast<double>(kernel->windows()));

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "crypto/obs.hpp"
+
 namespace ldke::crypto {
 
 HmacMidstate HmacSha256::precompute(
@@ -57,6 +59,7 @@ Sha256Digest hmac_sha256(std::span<const std::uint8_t> key,
 }
 
 MacTag mac(const Key128& key, std::span<const std::uint8_t> message) noexcept {
+  if (CryptoCounters* sink = crypto_counters_sink()) ++sink->macs;
   const Sha256Digest full = hmac_sha256(key.span(), message);
   MacTag tag;
   std::memcpy(tag.data(), full.data(), tag.size());

@@ -4,10 +4,10 @@
 /// the observability subsystem in the dependency graph (ldke_crypto
 /// links only ldke_support), so it exposes its own tiny counter sink
 /// instead of pulling in obs::MetricRegistry.  A thread-local pointer
-/// names the active sink; SealContext / prf bump it when installed and
-/// skip one branch when not.  Install with ScopedCryptoCounters around
-/// a region (a runner method, one node's packet handler) to attribute
-/// the work done inside it.
+/// names the active sink; SealContext, prf and mac bump it when
+/// installed and skip one branch when not.  Install with
+/// ScopedCryptoCounters around a region (a runner method, one node's
+/// packet handler) to attribute the work done inside it.
 ///
 /// Counting rule: the counters record the crypto work the deployment
 /// does, not the work this process does.  one_way, SealContext(const
@@ -38,6 +38,7 @@ struct CryptoCounters {
   std::uint64_t prf_calls = 0;      ///< F(K, .) evaluations, all variants
   std::uint64_t sealed_bytes = 0;   ///< plaintext bytes through seal()
   std::uint64_t opened_bytes = 0;   ///< ciphertext bytes through open()
+  std::uint64_t macs = 0;           ///< mac() tags, made or verified
 
   CryptoCounters& operator+=(const CryptoCounters& other) noexcept {
     seals += other.seals;
@@ -46,6 +47,7 @@ struct CryptoCounters {
     prf_calls += other.prf_calls;
     sealed_bytes += other.sealed_bytes;
     opened_bytes += other.opened_bytes;
+    macs += other.macs;
     return *this;
   }
 };

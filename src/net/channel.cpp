@@ -4,7 +4,7 @@
 
 namespace ldke::net {
 
-void Channel::LaneTallies::resolve_handles(sim::TraceCounters& counters) {
+void Channel::LaneTallies::resolve_handles(obs::MetricRegistry& counters) {
   ctr_tx = counters.handle("channel.tx");
   ctr_tx_external = counters.handle("channel.tx_external");
   ctr_delivered = counters.handle("channel.delivered");
@@ -17,7 +17,7 @@ void Channel::LaneTallies::resolve_handles(sim::TraceCounters& counters) {
 }
 
 Channel::Channel(sim::Simulator& sim, const Topology& topology,
-                 EnergyModel& energy, sim::TraceCounters& counters,
+                 EnergyModel& energy, obs::MetricRegistry& counters,
                  ChannelConfig config)
     : sim_(sim),
       topology_(topology),
@@ -41,7 +41,7 @@ sim::SimTime Channel::min_latency() const noexcept {
 
 void Channel::enable_lanes(sim::ShardedKernel& kernel,
                            const std::vector<std::uint32_t>& lane_of,
-                           std::span<sim::TraceCounters* const> lane_counters) {
+                           std::span<obs::MetricRegistry* const> lane_counters) {
   assert(lane_counters.size() == kernel.lane_count());
   assert(config_.loss_probability == 0.0 && !config_.model_collisions &&
          !config_.csma && "lane-incompatible channel features enabled");
@@ -108,7 +108,7 @@ void Channel::note_busy(NodeId node, sim::SimTime until) {
 
 void Channel::fan_out(const Packet& packet, std::span<const NodeId> receivers,
                       sim::SimTime arrival,
-                      sim::TraceCounters::Handle LaneTallies::* tx_counter) {
+                      obs::MetricRegistry::Handle LaneTallies::* tx_counter) {
   if (sniffer_) sniffer_(packet);
   LaneTallies& t = tallies();
   ++t.tx_count;

@@ -20,9 +20,9 @@
 #include "net/energy.hpp"
 #include "net/packet.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace ldke::net {
 
@@ -50,7 +50,7 @@ class Channel {
   using DeliveryHandler = std::function<void(NodeId receiver, const Packet&)>;
 
   Channel(sim::Simulator& sim, const Topology& topology, EnergyModel& energy,
-          sim::TraceCounters& counters, ChannelConfig config = {});
+          obs::MetricRegistry& counters, ChannelConfig config = {});
 
   void set_delivery_handler(DeliveryHandler handler) {
     deliver_ = std::move(handler);
@@ -102,7 +102,7 @@ class Channel {
   /// clamps to one lane otherwise.
   void enable_lanes(sim::ShardedKernel& kernel,
                     const std::vector<std::uint32_t>& lane_of,
-                    std::span<sim::TraceCounters* const> lane_counters);
+                    std::span<obs::MetricRegistry* const> lane_counters);
 
   [[nodiscard]] std::uint64_t transmissions() const noexcept {
     return sum_tally(&LaneTallies::tx_count);
@@ -146,7 +146,7 @@ class Channel {
   /// destination lane, which holds the payload by a single refcount.
   void fan_out(const Packet& packet, std::span<const NodeId> receivers,
                sim::SimTime arrival,
-               sim::TraceCounters::Handle LaneTallies::* tx_counter);
+               obs::MetricRegistry::Handle LaneTallies::* tx_counter);
 
   /// Body of one delivery event.  Each receiver in turn, fully before
   /// the next, gets what an event of its own would have done: delivery
@@ -191,18 +191,18 @@ class Channel {
     KindArray tx_packets_by_kind{};
     KindArray tx_bytes_by_kind{};
     // Hot-path counters, resolved once: per-packet increments skip the
-    // string lookup in TraceCounters.
-    sim::TraceCounters::Handle ctr_tx;
-    sim::TraceCounters::Handle ctr_tx_external;
-    sim::TraceCounters::Handle ctr_delivered;
-    sim::TraceCounters::Handle ctr_lost;
-    sim::TraceCounters::Handle ctr_collision;
-    sim::TraceCounters::Handle ctr_csma_defer;
-    sim::TraceCounters::Handle ctr_csma_drop;
-    sim::TraceCounters::Handle ctr_dropped_gone;
-    sim::TraceCounters::Handle ctr_dropped_partition;
+    // string lookup in the registry.
+    obs::MetricRegistry::Handle ctr_tx;
+    obs::MetricRegistry::Handle ctr_tx_external;
+    obs::MetricRegistry::Handle ctr_delivered;
+    obs::MetricRegistry::Handle ctr_lost;
+    obs::MetricRegistry::Handle ctr_collision;
+    obs::MetricRegistry::Handle ctr_csma_defer;
+    obs::MetricRegistry::Handle ctr_csma_drop;
+    obs::MetricRegistry::Handle ctr_dropped_gone;
+    obs::MetricRegistry::Handle ctr_dropped_partition;
 
-    void resolve_handles(sim::TraceCounters& counters);
+    void resolve_handles(obs::MetricRegistry& counters);
   };
 
   /// The calling thread's accounting cell (lane-bound inside a window,
@@ -221,7 +221,7 @@ class Channel {
   sim::Simulator& sim_;
   const Topology& topology_;
   EnergyModel& energy_;
-  sim::TraceCounters& counters_;
+  obs::MetricRegistry& counters_;
   ChannelConfig config_;
   DeliveryHandler deliver_;
   SnifferHandler sniffer_;

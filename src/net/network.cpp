@@ -39,11 +39,26 @@ void Network::enable_lanes(sim::ShardedKernel& kernel) {
   lane_counters_.push_back(&counters_);
   extra_counters_.clear();
   for (std::size_t l = 1; l < lanes; ++l) {
-    extra_counters_.push_back(std::make_unique<sim::TraceCounters>());
+    extra_counters_.push_back(std::make_unique<obs::MetricRegistry>());
     lane_counters_.push_back(extra_counters_.back().get());
   }
   channel_.enable_lanes(kernel, lane_of_, lane_counters_);
   if (audit_sink_ != nullptr) audit_sink_->enable_lanes(lanes);
+  if (packet_trace_ != nullptr) packet_trace_->enable_lanes(lanes);
+}
+
+void Network::set_packet_trace(PacketTrace* trace) {
+  packet_trace_ = trace;
+  if (trace == nullptr) {
+    channel_.set_sniffer(nullptr);
+    return;
+  }
+  trace->enable_lanes(lane_count());
+  channel_.set_sniffer([this](const Packet& pkt) {
+    packet_trace_->record(
+        record_lane(), {sim_.now().ns(), pkt.sender, pkt.kind,
+                        static_cast<std::uint32_t>(pkt.size_bytes())});
+  });
 }
 
 void Network::fold_lane_metrics() {

@@ -13,14 +13,15 @@
 #include <vector>
 
 #include "net/channel.hpp"
-#include "obs/audit.hpp"
-#include "obs/delivery.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/packet_trace.hpp"
 #include "net/topology.hpp"
+#include "obs/audit.hpp"
+#include "obs/delivery.hpp"
+#include "obs/metrics.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace ldke::net {
 
@@ -48,7 +49,7 @@ class Network {
   /// thread gets its own registry (counter increments from node event
   /// handlers stay lane-local); fold_lane_metrics() folds the extras
   /// back into the main registry after the run.
-  [[nodiscard]] sim::TraceCounters& counters() noexcept {
+  [[nodiscard]] obs::MetricRegistry& counters() noexcept {
     if (!lane_counters_.empty()) {
       return *lane_counters_[sim::ShardedKernel::current_lane()];
     }
@@ -105,7 +106,12 @@ class Network {
                         {sim_.now().ns(), actor, subject, arg, kind});
   }
 
-  /// Shard index recorders (audit sink, packet trace) should write to
+  /// Optional packet trace, fed one record per transmission by the
+  /// channel's sniffer (replacing any sniffer installed before) and
+  /// sized to the lanes like the audit sink.  nullptr detaches it.
+  void set_packet_trace(PacketTrace* trace);
+
+  /// Shard index the record logs (audit sink, packet trace) write to
   /// from the calling thread: the running lane, or 0 serially.
   [[nodiscard]] std::size_t record_lane() const noexcept {
     return kernel_ != nullptr ? sim::ShardedKernel::current_lane() : 0;
@@ -190,11 +196,12 @@ class Network {
   sim::Simulator& sim_;
   Topology topology_;
   EnergyModel energy_;
-  sim::TraceCounters counters_;
+  obs::MetricRegistry counters_;
   Channel channel_;
   std::vector<Node*> nodes_;
   obs::DeliveryTracker* delivery_tracker_ = nullptr;
   obs::AuditSink* audit_sink_ = nullptr;
+  PacketTrace* packet_trace_ = nullptr;
   // Scenario state (empty / unset on static deployments).
   std::vector<RadioState> radio_state_;  ///< empty = everyone active
   std::optional<double> partition_x_;
@@ -202,8 +209,8 @@ class Network {
   // Lane state (empty while running serially).
   sim::ShardedKernel* kernel_ = nullptr;
   std::vector<std::uint32_t> lane_of_;  ///< node id -> home lane
-  std::vector<sim::TraceCounters*> lane_counters_;  ///< [0] == &counters_
-  std::vector<std::unique_ptr<sim::TraceCounters>> extra_counters_;
+  std::vector<obs::MetricRegistry*> lane_counters_;  ///< [0] == &counters_
+  std::vector<std::unique_ptr<obs::MetricRegistry>> extra_counters_;
 };
 
 }  // namespace ldke::net

@@ -1,9 +1,5 @@
 #include "net/packet_trace.hpp"
 
-#include <algorithm>
-#include <map>
-#include <ostream>
-
 namespace ldke::net {
 
 std::string_view packet_kind_name(PacketKind kind) noexcept {
@@ -26,114 +22,6 @@ std::string_view packet_kind_name(PacketKind kind) noexcept {
     case PacketKind::kReinforce: return "reinforce";
   }
   return "unknown";
-}
-
-PacketTrace::PacketTrace(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), shards_(1) {}
-
-void PacketTrace::attach(Network& net) {
-  if (net.lane_count() > shards_.size()) shards_.resize(net.lane_count());
-  net.channel().set_sniffer([this, &net](const Packet& pkt) {
-    Shard& shard = shards_[net.record_lane() < shards_.size()
-                               ? net.record_lane()
-                               : 0];
-    ++shard.seen;
-    if (!accepts(pkt.kind)) {
-      ++shard.filtered;
-      return;
-    }
-    if (shard.records.size() >= capacity_) {
-      const auto evicted = capacity_ / 4 + 1;
-      shard.records.erase(
-          shard.records.begin(),
-          shard.records.begin() + static_cast<std::ptrdiff_t>(evicted));
-      shard.dropped += evicted;
-    }
-    shard.records.push_back(
-        TraceRecord{net.sim().now().ns(), pkt.sender, pkt.kind,
-                    static_cast<std::uint32_t>(pkt.size_bytes())});
-  });
-}
-
-void PacketTrace::set_kind_filter(std::initializer_list<PacketKind> kinds) {
-  kind_mask_ = 0;
-  for (PacketKind kind : kinds) {
-    kind_mask_ |= 1u << static_cast<unsigned>(kind);
-  }
-}
-
-std::vector<TraceRecord> PacketTrace::merged_records() const {
-  std::vector<TraceRecord> out;
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.records.size();
-  out.reserve(total);
-  for (const Shard& shard : shards_) {
-    out.insert(out.end(), shard.records.begin(), shard.records.end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-                     return a.sender < b.sender;
-                   });
-  return out;
-}
-
-std::uint64_t PacketTrace::total_seen() const noexcept {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.seen;
-  return n;
-}
-
-std::uint64_t PacketTrace::recorded() const noexcept {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.records.size();
-  return n;
-}
-
-std::uint64_t PacketTrace::dropped_records() const noexcept {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.dropped;
-  return n;
-}
-
-std::uint64_t PacketTrace::filtered() const noexcept {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.filtered;
-  return n;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-PacketTrace::histogram_by_kind() const {
-  std::map<std::string, std::uint64_t> counts;
-  for (const Shard& shard : shards_) {
-    for (const TraceRecord& r : shard.records) {
-      ++counts[std::string{packet_kind_name(r.kind)}];
-    }
-  }
-  return {counts.begin(), counts.end()};
-}
-
-void PacketTrace::dump_jsonl(std::ostream& os) const {
-  for (const TraceRecord& r : merged_records()) {
-    os << "{\"t\":" << r.time_ns << ",\"sender\":" << r.sender
-       << ",\"kind\":\"" << packet_kind_name(r.kind)
-       << "\",\"bytes\":" << r.size_bytes << "}\n";
-  }
-  if (dropped_records() > 0 || filtered() > 0) {
-    os << "{\"type\":\"trace_drops\",\"seen\":" << total_seen()
-       << ",\"recorded\":" << recorded()
-       << ",\"dropped\":" << dropped_records()
-       << ",\"filtered\":" << filtered() << "}\n";
-  }
-}
-
-void PacketTrace::clear() noexcept {
-  for (Shard& shard : shards_) {
-    shard.records.clear();
-    shard.seen = 0;
-    shard.dropped = 0;
-    shard.filtered = 0;
-  }
 }
 
 }  // namespace ldke::net

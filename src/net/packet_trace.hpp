@@ -1,25 +1,16 @@
 #pragma once
 /// \file packet_trace.hpp
-/// Packet-level trace recorder: hooks the channel sniffer and keeps a
-/// bounded in-memory log of every transmission (time, sender, kind,
-/// size).  Dumps as JSON-lines for offline inspection — the debugging
-/// affordance SensorSimII's trace files provided.
-///
-/// Storage is lane-sharded: under a sharded kernel every lane thread
-/// appends to its own shard (no locks, no false sharing), and
-/// merged_records() restores one canonical stream ordered by
-/// (time, sender).  That order is invariant under the lane count —
-/// every sender lives in exactly one lane and its transmissions are
-/// recorded in deterministic order — so a merged trace is byte-identical
-/// whether the run used 1, 2 or 8 lanes.
+/// Packet-level trace: one record per transmission (time, sender, kind,
+/// size), kept in the shared bounded, lane-sharded record log
+/// (obs/record_log.hpp) and merged by (time, sender).  Hang one on a
+/// network with Network::set_packet_trace; the channel's sniffer feeds
+/// it.
 
 #include <cstdint>
-#include <initializer_list>
-#include <iosfwd>
-#include <string>
-#include <vector>
+#include <string_view>
 
-#include "net/network.hpp"
+#include "net/packet.hpp"
+#include "obs/record_log.hpp"
 
 namespace ldke::net {
 
@@ -31,72 +22,10 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
+using PacketTrace = obs::RecordLog<TraceRecord, &TraceRecord::time_ns,
+                                   &TraceRecord::sender>;
+
 /// Human-readable name of a packet kind ("hello", "data", ...).
 [[nodiscard]] std::string_view packet_kind_name(PacketKind kind) noexcept;
-
-class PacketTrace {
- public:
-  /// Keeps at most \p capacity records per lane shard (oldest evicted
-  /// first, a quarter at a time).
-  explicit PacketTrace(std::size_t capacity = 1 << 16);
-
-  /// Starts recording all transmissions on \p net (owns the sniffer
-  /// hook; replaces any previous one).  Sizes the shard array to the
-  /// network's lane count, so call after Network::enable_lanes when the
-  /// run is sharded.
-  void attach(Network& net);
-
-  /// Restricts recording to the given kinds (empty mask = record all;
-  /// that is the default).  Packets excluded by the filter count in
-  /// total_seen() and filtered(), not in dropped_records().
-  void set_kind_filter(std::initializer_list<PacketKind> kinds);
-  void clear_kind_filter() noexcept { kind_mask_ = 0; }
-  [[nodiscard]] bool accepts(PacketKind kind) const noexcept {
-    return kind_mask_ == 0 ||
-           (kind_mask_ >> static_cast<unsigned>(kind)) & 1u;
-  }
-
-  /// Lane shards concatenated in lane order, then stably sorted by
-  /// (time, sender): the canonical merged stream.
-  [[nodiscard]] std::vector<TraceRecord> merged_records() const;
-
-  [[nodiscard]] std::uint64_t total_seen() const noexcept;
-  [[nodiscard]] std::uint64_t recorded() const noexcept;
-  /// Records evicted because a bounded shard overflowed.  (Filtered
-  /// packets are never records, so they are not "dropped".)
-  [[nodiscard]] std::uint64_t dropped_records() const noexcept;
-  /// Packets excluded by the kind filter.
-  [[nodiscard]] std::uint64_t filtered() const noexcept;
-  /// Packets seen but not retained, for any reason (eviction or filter).
-  [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return dropped_records() + filtered();
-  }
-
-  /// Transmission count per packet kind over the retained window.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
-  histogram_by_kind() const;
-
-  /// One JSON object per line: {"t":..., "sender":..., "kind":"...",
-  /// "bytes":...}.  When any packets were evicted or filtered, a final
-  /// summary line {"type":"trace_drops","seen":...,"recorded":...,
-  /// "dropped":...,"filtered":...} reports the gap so consumers know the
-  /// dump is partial.
-  void dump_jsonl(std::ostream& os) const;
-
-  void clear() noexcept;
-
- private:
-  struct alignas(64) Shard {
-    std::vector<TraceRecord> records;
-    std::uint64_t seen = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t filtered = 0;
-  };
-
-  std::size_t capacity_;
-  std::vector<Shard> shards_;
-  /// Bit i set = record PacketKind(i); all-zero = no filter.
-  std::uint32_t kind_mask_ = 0;
-};
 
 }  // namespace ldke::net

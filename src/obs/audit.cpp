@@ -1,6 +1,6 @@
 #include "obs/audit.hpp"
 
-#include <algorithm>
+#include <array>
 
 namespace ldke::obs {
 
@@ -28,79 +28,6 @@ std::optional<AuditKind> audit_kind_from_name(std::string_view name) noexcept {
     if (kKindNames[i] == name) return static_cast<AuditKind>(i);
   }
   return std::nullopt;
-}
-
-AuditSink::AuditSink(std::size_t capacity_per_lane)
-    : capacity_per_lane_(capacity_per_lane == 0 ? 1 : capacity_per_lane),
-      shards_(1) {}
-
-void AuditSink::enable_lanes(std::size_t lanes) {
-  shards_.resize(lanes == 0 ? 1 : lanes);
-}
-
-void AuditSink::record(std::size_t lane, const AuditEvent& event) {
-  Shard& shard = shards_[lane < shards_.size() ? lane : 0];
-  ++shard.seen;
-  if (shard.events.size() >= capacity_per_lane_) {
-    const std::size_t evict = capacity_per_lane_ / 4 + 1;
-    const std::size_t n = std::min(evict, shard.events.size());
-    shard.events.erase(shard.events.begin(),
-                       shard.events.begin() + static_cast<std::ptrdiff_t>(n));
-    shard.dropped += n;
-  }
-  shard.events.push_back(event);
-}
-
-std::vector<AuditEvent> AuditSink::merged() const {
-  std::vector<AuditEvent> out;
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.events.size();
-  out.reserve(total);
-  for (const Shard& shard : shards_) {
-    out.insert(out.end(), shard.events.begin(), shard.events.end());
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const AuditEvent& a, const AuditEvent& b) {
-                     if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
-                     return a.actor < b.actor;
-                   });
-  return out;
-}
-
-std::array<std::uint64_t, kAuditKindCount> AuditSink::counts_by_kind() const {
-  std::array<std::uint64_t, kAuditKindCount> counts{};
-  for (const Shard& shard : shards_) {
-    for (const AuditEvent& event : shard.events) {
-      ++counts[static_cast<std::size_t>(event.kind)];
-    }
-  }
-  return counts;
-}
-
-std::uint64_t AuditSink::total_seen() const noexcept {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.seen;
-  return n;
-}
-
-std::uint64_t AuditSink::total_recorded() const noexcept {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.events.size();
-  return n;
-}
-
-std::uint64_t AuditSink::total_dropped() const noexcept {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.dropped;
-  return n;
-}
-
-void AuditSink::clear() noexcept {
-  for (Shard& shard : shards_) {
-    shard.events.clear();
-    shard.seen = 0;
-    shard.dropped = 0;
-  }
 }
 
 }  // namespace ldke::obs

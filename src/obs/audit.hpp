@@ -4,11 +4,9 @@
 /// changed.  Protocol code (SensorNode, BaseStation, DataPlaneEngine,
 /// ScenarioEngine) emits AuditEvents through an optional AuditSink hung
 /// off the Network; with no sink attached the emission site is a single
-/// null-check.  The sink is lane-sharded so concurrent lanes of the
-/// sharded kernel record without locks; merged() restores one canonical
-/// stream ordered by (sim time, actor) — an order that is invariant
-/// under the lane count because every actor lives in exactly one lane
-/// and its event subsequence is deterministic.
+/// null-check.  The sink is the shared record log (record_log.hpp):
+/// lane-sharded, bounded, and merged into one canonical stream ordered
+/// by (sim time, actor).
 ///
 /// HealthSample is the companion gauge record: a point-in-time probe of
 /// protocol health (secured-link fraction, key-graph connectivity,
@@ -16,13 +14,14 @@
 /// phase.  Both families serialize into the JSONL trace as schema-v2
 /// records ("audit" / "health", see trace_sink.hpp).
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/record_log.hpp"
 
 namespace ldke::obs {
 
@@ -89,43 +88,8 @@ struct HealthSample {
   double epoch_mean = 0.0;
 };
 
-/// Bounded, lane-sharded recorder for AuditEvents.  One shard per lane
-/// on its own cache line; record() is wait-free per lane.  When a shard
-/// fills, the oldest quarter is evicted (same policy as PacketTrace) and
-/// accounted in dropped().
-class AuditSink {
- public:
-  explicit AuditSink(std::size_t capacity_per_lane = 1 << 18);
-
-  /// Resizes to \p lanes shards, keeping shard 0's content when growing
-  /// from the serial default.  Call before any concurrent record().
-  void enable_lanes(std::size_t lanes);
-
-  void record(std::size_t lane, const AuditEvent& event);
-
-  /// Lane shards concatenated in lane order, then stably sorted by
-  /// (t_ns, actor): the canonical merged stream (lane-count invariant).
-  [[nodiscard]] std::vector<AuditEvent> merged() const;
-
-  [[nodiscard]] std::array<std::uint64_t, kAuditKindCount> counts_by_kind()
-      const;
-
-  [[nodiscard]] std::size_t lanes() const noexcept { return shards_.size(); }
-  [[nodiscard]] std::uint64_t total_seen() const noexcept;
-  [[nodiscard]] std::uint64_t total_recorded() const noexcept;
-  [[nodiscard]] std::uint64_t total_dropped() const noexcept;
-
-  void clear() noexcept;
-
- private:
-  struct alignas(64) Shard {
-    std::vector<AuditEvent> events;
-    std::uint64_t seen = 0;
-    std::uint64_t dropped = 0;
-  };
-
-  std::size_t capacity_per_lane_;
-  std::vector<Shard> shards_;
-};
+/// The audit stream's recorder: the shared bounded, lane-sharded record
+/// log, merged by (t_ns, actor).
+using AuditSink = RecordLog<AuditEvent, &AuditEvent::t_ns, &AuditEvent::actor>;
 
 }  // namespace ldke::obs

@@ -1,8 +1,7 @@
 #pragma once
 /// \file metrics.hpp
-/// Unified metric registry for one trial: named counters (absorbing the
-/// old sim::TraceCounters — that name is now an alias of this class),
-/// plus typed gauges and log-bucketed histograms.  All three families
+/// Unified metric registry for one trial: named counters, plus typed
+/// gauges and log-bucketed histograms.  All three families
 /// support interned handles so true per-event hot paths (channel
 /// transmissions, scheduler ticks, crypto ops) pay one pointer
 /// indirection per update instead of a string hash/compare.
@@ -108,7 +107,7 @@ class MetricRegistry {
     Histogram* hist_ = nullptr;
   };
 
-  // ---- counters (the former sim::TraceCounters API) ----
+  // ---- counters ----
 
   /// Resolves (registering if needed) the slot for \p name.
   [[nodiscard]] Handle handle(std::string_view name);

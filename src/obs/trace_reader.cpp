@@ -85,9 +85,12 @@ std::optional<TraceData> load_trace(std::istream& in) {
       const JsonValue* snapshot = parsed->find("snapshot");
       if (snapshot != nullptr) data.counters = *snapshot;
     } else if (type == "trace_drops") {
-      data.trace_dropped += static_cast<std::uint64_t>(parsed->int_at("dropped"));
-      data.trace_filtered +=
-          static_cast<std::uint64_t>(parsed->int_at("filtered"));
+      // Writers before the family field only ever reported the packet
+      // log; their "filtered" member is ignored.
+      const auto dropped =
+          static_cast<std::uint64_t>(parsed->int_at("dropped"));
+      data.trace_dropped += dropped;
+      data.dropped_by_family[parsed->string_at("family", "pkt")] += dropped;
     } else {
       ++data.skipped_lines;  // unknown type: forward-compatible skip
     }
@@ -475,7 +478,9 @@ std::string render_summary(const TraceData& data) {
   table.add_row({"audit events", std::to_string(data.audits.size())});
   table.add_row({"health samples", std::to_string(data.health.size())});
   table.add_row({"trace drops", std::to_string(data.trace_dropped)});
-  table.add_row({"trace filtered", std::to_string(data.trace_filtered)});
+  for (const auto& [family, dropped] : data.dropped_by_family) {
+    table.add_row({"trace drops (" + family + ")", std::to_string(dropped)});
+  }
   if (data.skipped_lines > 0) {
     table.add_row({"skipped lines", std::to_string(data.skipped_lines)});
   }

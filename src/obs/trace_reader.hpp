@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,8 +47,10 @@ struct TraceData {
   std::vector<HealthSample> health;  ///< v2; empty on v1 traces
   std::vector<DeliveryTracker::Sample> deliveries;
   JsonValue counters;  ///< last counters snapshot (null if none)
-  std::uint64_t trace_dropped = 0;   ///< records evicted by the recorder
-  std::uint64_t trace_filtered = 0;  ///< records excluded by kind filter
+  std::uint64_t trace_dropped = 0;   ///< records evicted, all families
+  /// Records evicted per family ("pkt", "audit"); only families with a
+  /// trace_drops record appear.
+  std::map<std::string, std::uint64_t> dropped_by_family;
   std::uint64_t skipped_lines = 0;   ///< unparseable or unknown-type lines
 
   [[nodiscard]] std::int64_t node_count() const noexcept {

@@ -85,24 +85,15 @@ void TraceSink::write_counters(JsonValue snapshot) {
   emit(line);
 }
 
-void TraceSink::write_trace_drops(std::uint64_t seen, std::uint64_t recorded,
-                                  std::uint64_t dropped,
-                                  std::uint64_t filtered) {
+void TraceSink::write_trace_drops(std::string_view family, std::uint64_t seen,
+                                  std::uint64_t recorded,
+                                  std::uint64_t dropped) {
   JsonValue line;
   line.set("type", "trace_drops");
+  line.set("family", family);
   line.set("seen", seen);
   line.set("recorded", recorded);
   line.set("dropped", dropped);
-  line.set("filtered", filtered);
-  emit(line);
-}
-
-void TraceSink::write_record(std::string_view type, JsonValue fields) {
-  JsonValue line;
-  line.set("type", type);
-  if (fields.is_object()) {
-    for (const auto& [k, v] : fields.as_object()) line.set(k, v);
-  }
   emit(line);
 }
 

@@ -13,7 +13,8 @@
 ///   {"type":"delivery","src":42,"t_tx":...,"t_rx":...}
 ///   {"type":"health","t":...,"phase":"stress","active":N,...}    (v2)
 ///   {"type":"counters","snapshot":{"counters":{...},"gauges":{...},...}}
-///   {"type":"trace_drops","seen":N,"recorded":M,"dropped":K,"filtered":F}
+///   {"type":"trace_drops","family":"audit","seen":N,"recorded":M,
+///    "dropped":K}                  (one per family that lost records)
 ///
 /// All timestamps are simulated nanoseconds.  Unknown line types must be
 /// skipped by readers (forward compatibility within a major version):
@@ -50,11 +51,10 @@ class TraceSink {
   void write_delivery(const DeliveryTracker::Sample& sample);
   void write_health(const HealthSample& sample);
   void write_counters(JsonValue snapshot);
-  void write_trace_drops(std::uint64_t seen, std::uint64_t recorded,
-                         std::uint64_t dropped, std::uint64_t filtered);
-
-  /// Escape hatch for new record types: {"type":<type>, ...fields}.
-  void write_record(std::string_view type, JsonValue fields);
+  /// \p family names the record family that lost records: "pkt" or
+  /// "audit".
+  void write_trace_drops(std::string_view family, std::uint64_t seen,
+                         std::uint64_t recorded, std::uint64_t dropped);
 
   [[nodiscard]] std::uint64_t lines_written() const noexcept {
     return lines_;

@@ -43,18 +43,14 @@
 
 namespace ldke::sim {
 
-/// Lane-count / window configuration, carried by RunnerConfig.  lanes=1
-/// keeps the plain serial loop — the sharded path is the same code with
-/// more lanes, not a behavioral fork.
+/// Lane-count configuration, carried by RunnerConfig.  lanes=1 keeps the
+/// plain serial loop — the sharded path is the same code with more
+/// lanes, not a behavioral fork.  The lookahead window is always the
+/// channel's minimum cross-lane latency, and the worker count
+/// min(lanes, hardware_concurrency()).
 struct KernelConfig {
   /// Spatial lanes (grid-cell strips).  1 = serial; clamped to 255.
   std::size_t lanes = 1;
-  /// Lookahead-window override in seconds.  0 derives the window from
-  /// the channel's minimum cross-lane latency; a smaller value only adds
-  /// barriers, so the override is clamped to the safe lookahead.
-  double window_s = 0.0;
-  /// Worker threads; 0 = min(lanes, hardware_concurrency()).
-  std::size_t threads = 0;
 };
 
 /// Per-lane observability, exported into the MetricRegistry after each

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "obs/trace_reader.hpp"
@@ -85,6 +87,7 @@ TEST(RunSummary, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(restored->crypto.seals, original.crypto.seals);
   EXPECT_EQ(restored->crypto.opens, original.crypto.opens);
   EXPECT_EQ(restored->crypto.prf_calls, original.crypto.prf_calls);
+  EXPECT_EQ(restored->crypto.macs, original.crypto.macs);
   EXPECT_DOUBLE_EQ(restored->energy.total_j, original.energy.total_j);
   EXPECT_EQ(restored->latency.originated, original.latency.originated);
   ASSERT_EQ(restored->phases.size(), original.phases.size());
@@ -123,11 +126,13 @@ TEST(RunSummary, NewerSchemaVersionIsRejected) {
 TEST(TraceJsonl, RoundTripReproducesFig9FromTraceAlone) {
   core::ProtocolRunner runner{small_config()};
   net::PacketTrace trace{1 << 18};
-  trace.attach(runner.network());
+  runner.network().set_packet_trace(&trace);
   runner.run_key_setup();
 
   std::ostringstream os;
-  write_trace_jsonl(os, runner, "unit_test", &trace);
+  TraceArtifacts artifacts;
+  artifacts.packets = &trace;
+  write_trace_jsonl(os, runner, "unit_test", artifacts);
   std::istringstream in{os.str()};
   const auto data = obs::load_trace(in);
   ASSERT_TRUE(data.has_value());
@@ -166,15 +171,62 @@ TEST(TraceJsonl, DeterministicAcrossIdenticalRuns) {
   const auto run_once = [] {
     core::ProtocolRunner runner{small_config()};
     net::PacketTrace trace;
-    trace.attach(runner.network());
+    runner.network().set_packet_trace(&trace);
     runner.run_key_setup();
     std::ostringstream os;
-    write_trace_jsonl(os, runner, "unit_test", &trace);
+    TraceArtifacts artifacts;
+    artifacts.packets = &trace;
+    write_trace_jsonl(os, runner, "unit_test", artifacts);
     return os.str();
   };
   // Same seed, same artifact — byte for byte (golden property; the smoke
   // test in tools/ exercises the CLI on top of this).
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// A bounded audit log that overflows says so in the trace: one "audit"
+/// drops record whose counts add up, and exactly as many audit lines as
+/// it says it recorded.
+TEST(TraceJsonl, AuditLogDropsAreReported) {
+  const auto traced = [](std::size_t capacity, std::uint64_t& seen) {
+    core::ProtocolRunner runner{small_config()};
+    obs::AuditSink audit{capacity};
+    runner.network().set_audit_sink(&audit);
+    runner.run_key_setup();
+    seen = audit.total_seen();
+    std::ostringstream os;
+    TraceArtifacts artifacts;
+    artifacts.audit = &audit;
+    write_trace_jsonl(os, runner, "unit_test", artifacts);
+    return os.str();
+  };
+  std::uint64_t events = 0;
+  EXPECT_EQ(traced(1 << 20, events).find("trace_drops"), std::string::npos);
+  ASSERT_GT(events, 64u);
+
+  std::uint64_t bounded_seen = 0;
+  std::istringstream in{traced(64, bounded_seen)};
+  std::uint64_t audit_lines = 0;
+  std::vector<obs::JsonValue> drops;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto record = obs::JsonValue::parse(line);
+    ASSERT_TRUE(record.has_value());
+    const std::string type = record->string_at("type");
+    if (type == "audit") ++audit_lines;
+    if (type == "trace_drops") drops.push_back(*record);
+  }
+  ASSERT_EQ(drops.size(), 1u);
+  const obs::JsonValue& d = drops.front();
+  const auto seen = static_cast<std::uint64_t>(d.int_at("seen"));
+  const auto recorded = static_cast<std::uint64_t>(d.int_at("recorded"));
+  const auto dropped = static_cast<std::uint64_t>(d.int_at("dropped"));
+  EXPECT_EQ(d.string_at("family"), "audit");
+  EXPECT_EQ(seen, events);
+  EXPECT_EQ(bounded_seen, events);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(recorded + dropped, seen);
+  EXPECT_EQ(audit_lines, recorded);
 }
 
 TEST(TraceJsonl, WithoutPacketTraceStillHasMetaSpansCounters) {

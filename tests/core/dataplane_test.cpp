@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -166,14 +167,14 @@ TEST(DataPlane, TracesMatchTheRecordedOutput) {
   auto runner = after_routing(small_config(11));
   net::PacketTrace trace{1 << 20};
   obs::AuditSink audit;
-  trace.attach(runner->network());
+  runner->network().set_packet_trace(&trace);
   runner->network().set_audit_sink(&audit);
   DataPlaneEngine engine{*runner, engine_config()};
   expect_recorded_stats(engine.run());
 
   // The packet trace, record for record in canonical order.
   Digest digest;
-  const auto records = trace.merged_records();
+  const auto records = trace.merged();
   for (const net::TraceRecord& r : records) {
     digest.word(static_cast<std::uint64_t>(r.time_ns));
     digest.word(r.sender);
@@ -216,7 +217,10 @@ TEST(DataPlane, EmitsRefreshAndEvictionAudits) {
   ASSERT_GT(stats.refresh_rounds, 0u);
   ASSERT_GT(stats.clusters_evicted, 0u);
 
-  const auto counts = audit.counts_by_kind();
+  std::array<std::uint64_t, obs::kAuditKindCount> counts{};
+  for (const obs::AuditEvent& e : audit.merged()) {
+    ++counts[static_cast<std::size_t>(e.kind)];
+  }
   EXPECT_EQ(counts[static_cast<std::size_t>(obs::AuditKind::kRefreshRound)],
             stats.refresh_rounds);
   EXPECT_GT(

@@ -135,7 +135,7 @@ TEST(Revocation, FloodCopiesCountAsDuplicatesNotForgeries) {
   runner->run_for(10.0);  // flood settles
   // Every node hears the command again from each forwarding neighbor;
   // those copies are duplicates of an accepted element, not forgeries.
-  const sim::TraceCounters& counters = runner->network().counters();
+  const obs::MetricRegistry& counters = runner->network().counters();
   EXPECT_GT(counters.value("revoke.duplicate"), 0u);
   EXPECT_EQ(counters.value("revoke.bad_chain"), 0u);
 }

@@ -121,7 +121,7 @@ std::string traced_setup(std::size_t lanes, std::uint64_t seed) {
   core::ProtocolRunner runner{cfg};
   net::PacketTrace trace{1 << 20};
   obs::AuditSink audit;
-  trace.attach(runner.network());
+  runner.network().set_packet_trace(&trace);
   runner.network().set_audit_sink(&audit);
   runner.run_key_setup();
 

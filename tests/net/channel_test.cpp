@@ -14,7 +14,7 @@ struct Fixture {
   Topology topo = Topology::from_positions({{0, 0}, {1, 0}, {2, 0}, {10, 0}},
                                            1.5);
   EnergyModel energy;
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   Channel channel{sim, topo, energy, counters, {}};
   std::map<NodeId, int> received;
 
@@ -90,7 +90,7 @@ TEST(Channel, LossProbabilityOneDropsEverything) {
   sim::Simulator sim{1};
   auto topo = Topology::from_positions({{0, 0}, {1, 0}}, 2.0);
   EnergyModel energy;
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   ChannelConfig cfg;
   cfg.loss_probability = 1.0;
   Channel channel{sim, topo, energy, counters, cfg};
@@ -114,7 +114,7 @@ TEST(Channel, LossProbabilityIsPerReceiver) {
   }
   auto topo = Topology::from_positions(positions, 5.0);
   EnergyModel energy;
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   ChannelConfig cfg;
   cfg.loss_probability = 0.3;
   Channel channel{sim, topo, energy, counters, cfg};
@@ -160,7 +160,7 @@ TEST(Channel, CollisionsCorruptOverlappingReceptions) {
   auto topo = Topology::from_positions(
       {{0, 0}, {1, 0}, {2, 0}, {-0.5, 0}, {2.5, 0}}, 1.2);
   EnergyModel energy;
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   ChannelConfig cfg;
   cfg.model_collisions = true;
   Channel channel{sim, topo, energy, counters, cfg};
@@ -187,7 +187,7 @@ TEST(Channel, NonOverlappingTransmissionsDoNotCollide) {
   sim::Simulator sim{1};
   auto topo = Topology::from_positions({{0, 0}, {1, 0}, {2, 0}}, 1.2);
   EnergyModel energy;
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   ChannelConfig cfg;
   cfg.model_collisions = true;
   Channel channel{sim, topo, energy, counters, cfg};
@@ -211,7 +211,7 @@ TEST(Channel, CsmaDefersInsteadOfColliding) {
   sim::Simulator sim{1};
   auto topo = Topology::from_positions({{0, 0}, {1, 0}, {2, 0}}, 1.2);
   EnergyModel energy;
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   ChannelConfig cfg;
   cfg.model_collisions = true;
   cfg.csma = true;
@@ -241,7 +241,7 @@ TEST(Channel, CsmaSendersHearEachOther) {
   // 0 and 2 are in range of each other and of the middle node 1.
   auto topo = Topology::from_positions({{0, 0}, {1, 0}, {2, 0}}, 2.5);
   EnergyModel energy;
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   ChannelConfig cfg;
   cfg.model_collisions = true;
   cfg.csma = true;
@@ -269,7 +269,7 @@ TEST(Channel, CsmaGivesUpAfterMaxAttempts) {
   sim::Simulator sim{3};
   auto topo = Topology::from_positions({{0, 0}, {1, 0}}, 1.5);
   EnergyModel energy;
-  sim::TraceCounters counters;
+  obs::MetricRegistry counters;
   ChannelConfig cfg;
   cfg.csma = true;
   cfg.csma_max_attempts = 0;  // no patience at all

@@ -156,7 +156,7 @@ class ChannelMedium final : public Medium {
  private:
   sim::Simulator sim_;
   EnergyModel energy_;
-  sim::TraceCounters counters_;
+  obs::MetricRegistry counters_;
   Channel channel_;
 };
 

@@ -2,35 +2,50 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "analysis/run_artifacts.hpp"
 #include "core/runner.hpp"
 
 namespace ldke::net {
 namespace {
 
-TEST(PacketTrace, RecordsSetupTraffic) {
+core::RunnerConfig setup_config() {
   core::RunnerConfig cfg;
   cfg.node_count = 120;
   cfg.density = 10.0;
   cfg.side_m = 250.0;
   cfg.seed = 3;
-  core::ProtocolRunner runner{cfg};
+  return cfg;
+}
+
+std::string trace_jsonl(core::ProtocolRunner& runner,
+                        const PacketTrace& trace) {
+  std::ostringstream os;
+  analysis::TraceArtifacts artifacts;
+  artifacts.packets = &trace;
+  analysis::write_trace_jsonl(os, runner, "test", artifacts);
+  return os.str();
+}
+
+TEST(PacketTrace, RecordsSetupTraffic) {
+  core::ProtocolRunner runner{setup_config()};
   PacketTrace trace;
-  trace.attach(runner.network());
+  runner.network().set_packet_trace(&trace);
   runner.run_key_setup();
 
   // One link advert per node plus one HELLO per head.
   EXPECT_EQ(trace.total_seen(), runner.network().channel().transmissions());
-  EXPECT_EQ(trace.dropped(), 0u);
-  const auto hist = trace.histogram_by_kind();
-  std::uint64_t hello = 0, link = 0;
-  for (const auto& [name, count] : hist) {
-    if (name == "hello") hello = count;
-    if (name == "link_advert") link = count;
-  }
-  EXPECT_EQ(link, runner.node_count());
-  EXPECT_GT(hello, 0u);
+  EXPECT_EQ(trace.total_dropped(), 0u);
+  const auto records = trace.merged();
+  const auto count_of = [&](PacketKind kind) {
+    return static_cast<std::uint64_t>(
+        std::count_if(records.begin(), records.end(),
+                      [kind](const TraceRecord& r) { return r.kind == kind; }));
+  };
+  EXPECT_EQ(count_of(PacketKind::kLinkAdvert), runner.node_count());
+  EXPECT_GT(count_of(PacketKind::kHello), 0u);
 }
 
 TEST(PacketTrace, TimesAreMonotonic) {
@@ -41,9 +56,9 @@ TEST(PacketTrace, TimesAreMonotonic) {
   cfg.seed = 9;
   core::ProtocolRunner runner{cfg};
   PacketTrace trace;
-  trace.attach(runner.network());
+  runner.network().set_packet_trace(&trace);
   runner.run_key_setup();
-  const auto records = trace.merged_records();
+  const auto records = trace.merged();
   ASSERT_FALSE(records.empty());
   for (std::size_t i = 1; i < records.size(); ++i) {
     EXPECT_LE(records[i - 1].time_ns, records[i].time_ns);
@@ -51,19 +66,14 @@ TEST(PacketTrace, TimesAreMonotonic) {
 }
 
 TEST(PacketTrace, BoundedCapacityEvictsOldest) {
-  core::RunnerConfig cfg;
-  cfg.node_count = 120;
-  cfg.density = 10.0;
-  cfg.side_m = 250.0;
-  cfg.seed = 3;
-  core::ProtocolRunner runner{cfg};
+  core::ProtocolRunner runner{setup_config()};
   PacketTrace trace{16};
-  trace.attach(runner.network());
+  runner.network().set_packet_trace(&trace);
   runner.run_key_setup();
-  EXPECT_LE(trace.recorded(), 16u);
-  EXPECT_GT(trace.dropped(), 0u);
+  EXPECT_LE(trace.total_recorded(), 16u);
+  EXPECT_GT(trace.total_dropped(), 0u);
   // The retained tail is the most recent traffic.
-  EXPECT_GT(trace.merged_records().back().time_ns, 0);
+  EXPECT_GT(trace.merged().back().time_ns, 0);
 }
 
 TEST(PacketTrace, JsonlDumpIsWellFormedLines) {
@@ -74,147 +84,72 @@ TEST(PacketTrace, JsonlDumpIsWellFormedLines) {
   cfg.seed = 4;
   core::ProtocolRunner runner{cfg};
   PacketTrace trace;
-  trace.attach(runner.network());
+  runner.network().set_packet_trace(&trace);
   runner.run_key_setup();
 
-  std::ostringstream os;
-  trace.dump_jsonl(os);
-  const std::string dump = os.str();
-  const auto lines = std::count(dump.begin(), dump.end(), '\n');
-  EXPECT_EQ(static_cast<std::size_t>(lines), trace.recorded());
-  EXPECT_NE(dump.find("\"kind\":\"hello\""), std::string::npos);
-  EXPECT_NE(dump.find("\"kind\":\"link_advert\""), std::string::npos);
-  // Every line starts with '{' and ends with '}'.
+  const std::string dump = trace_jsonl(runner, trace);
+  std::size_t packet_lines = 0;
   std::istringstream in{dump};
   std::string line;
   while (std::getline(in, line)) {
     ASSERT_FALSE(line.empty());
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
+    if (line.find("\"type\":\"pkt\"") != std::string::npos) ++packet_lines;
   }
+  EXPECT_EQ(packet_lines, trace.total_recorded());
+  EXPECT_NE(dump.find("\"kind\":\"hello\""), std::string::npos);
+  EXPECT_NE(dump.find("\"kind\":\"link_advert\""), std::string::npos);
 }
 
 TEST(PacketTrace, DroppedRecordsCountsEvictionsExactly) {
-  core::RunnerConfig cfg;
-  cfg.node_count = 120;
-  cfg.density = 10.0;
-  cfg.side_m = 250.0;
-  cfg.seed = 3;
-  core::ProtocolRunner runner{cfg};
+  core::ProtocolRunner runner{setup_config()};
   PacketTrace trace{16};
-  trace.attach(runner.network());
+  runner.network().set_packet_trace(&trace);
   runner.run_key_setup();
-  EXPECT_GT(trace.dropped_records(), 0u);
-  EXPECT_EQ(trace.filtered(), 0u);  // no filter: nothing filtered
-  EXPECT_EQ(trace.dropped(), trace.dropped_records());
+  EXPECT_GT(trace.total_dropped(), 0u);
   // Everything seen is either retained or accounted as dropped.
-  EXPECT_EQ(trace.total_seen(), trace.recorded() + trace.dropped());
-}
-
-TEST(PacketTrace, KindFilterRecordsOnlySelectedKinds) {
-  core::RunnerConfig cfg;
-  cfg.node_count = 120;
-  cfg.density = 10.0;
-  cfg.side_m = 250.0;
-  cfg.seed = 3;
-  core::ProtocolRunner runner{cfg};
-  PacketTrace trace;
-  trace.set_kind_filter({PacketKind::kHello});
-  trace.attach(runner.network());
-  runner.run_key_setup();
-
-  const auto records = trace.merged_records();
-  ASSERT_FALSE(records.empty());
-  for (const TraceRecord& r : records) {
-    EXPECT_EQ(r.kind, PacketKind::kHello);
-  }
-  // Filtered packets still count in total_seen and filtered(), but are
-  // not eviction drops.
-  EXPECT_EQ(trace.total_seen(), runner.network().channel().transmissions());
-  EXPECT_GT(trace.filtered(), 0u);
-  EXPECT_EQ(trace.dropped_records(), 0u);
-  EXPECT_EQ(trace.total_seen(), trace.recorded() + trace.filtered());
-}
-
-TEST(PacketTrace, FilterPredicateAndClearing) {
-  PacketTrace trace;
-  EXPECT_TRUE(trace.accepts(PacketKind::kData));  // no filter: accept all
-  trace.set_kind_filter({PacketKind::kHello, PacketKind::kLinkAdvert});
-  EXPECT_TRUE(trace.accepts(PacketKind::kHello));
-  EXPECT_TRUE(trace.accepts(PacketKind::kLinkAdvert));
-  EXPECT_FALSE(trace.accepts(PacketKind::kData));
-  trace.clear_kind_filter();
-  EXPECT_TRUE(trace.accepts(PacketKind::kData));
+  EXPECT_EQ(trace.total_seen(), trace.total_recorded() + trace.total_dropped());
 }
 
 TEST(PacketTrace, DumpReportsDropsOnlyWhenIncomplete) {
-  core::RunnerConfig cfg;
-  cfg.node_count = 120;
-  cfg.density = 10.0;
-  cfg.side_m = 250.0;
-  cfg.seed = 3;
-
   {  // Complete trace: no trace_drops line.
-    core::ProtocolRunner runner{cfg};
+    core::ProtocolRunner runner{setup_config()};
     PacketTrace trace;
-    trace.attach(runner.network());
+    runner.network().set_packet_trace(&trace);
     runner.run_key_setup();
-    std::ostringstream os;
-    trace.dump_jsonl(os);
-    EXPECT_EQ(os.str().find("trace_drops"), std::string::npos);
+    EXPECT_EQ(trace_jsonl(runner, trace).find("trace_drops"),
+              std::string::npos);
   }
-  {  // Overflowing trace: final summary line reports the gap.
-    core::ProtocolRunner runner{cfg};
+  {  // Overflowing trace: a final record reports the packet family's gap.
+    core::ProtocolRunner runner{setup_config()};
     PacketTrace trace{16};
-    trace.attach(runner.network());
+    runner.network().set_packet_trace(&trace);
     runner.run_key_setup();
-    std::ostringstream os;
-    trace.dump_jsonl(os);
-    const std::string dump = os.str();
-    const auto pos = dump.find("\"type\":\"trace_drops\"");
+    const std::string dump = trace_jsonl(runner, trace);
+    const auto pos = dump.find("\"type\":\"trace_drops\",\"family\":\"pkt\"");
     ASSERT_NE(pos, std::string::npos);
     EXPECT_NE(dump.find("\"seen\":" + std::to_string(trace.total_seen())),
               std::string::npos);
     EXPECT_NE(dump.find("\"dropped\":" +
-                        std::to_string(trace.dropped_records())),
+                        std::to_string(trace.total_dropped())),
               std::string::npos);
-    // The summary is the last line.
+    // The drops record is the last line.
     EXPECT_GT(pos, dump.rfind("\"kind\":"));
+    EXPECT_EQ(dump.find('\n', pos), dump.size() - 1);
   }
 }
 
-TEST(PacketTrace, ClearResetsDropAndFilterTallies) {
-  core::RunnerConfig cfg;
-  cfg.node_count = 120;
-  cfg.density = 10.0;
-  cfg.side_m = 250.0;
-  cfg.seed = 3;
-  core::ProtocolRunner runner{cfg};
-  PacketTrace trace{16};
-  trace.set_kind_filter({PacketKind::kHello, PacketKind::kLinkAdvert});
-  trace.attach(runner.network());
-  runner.run_key_setup();
-  trace.clear();
-  EXPECT_EQ(trace.dropped_records(), 0u);
-  EXPECT_EQ(trace.filtered(), 0u);
-  EXPECT_EQ(trace.dropped(), 0u);
-  // The kind filter itself survives clear().
-  EXPECT_FALSE(trace.accepts(PacketKind::kData));
-}
-
 TEST(PacketTrace, ClearResets) {
-  core::RunnerConfig cfg;
-  cfg.node_count = 60;
-  cfg.density = 8.0;
-  cfg.side_m = 200.0;
-  cfg.seed = 4;
-  core::ProtocolRunner runner{cfg};
-  PacketTrace trace;
-  trace.attach(runner.network());
+  core::ProtocolRunner runner{setup_config()};
+  PacketTrace trace{16};
+  runner.network().set_packet_trace(&trace);
   runner.run_key_setup();
+  ASSERT_GT(trace.total_dropped(), 0u);
   trace.clear();
-  EXPECT_EQ(trace.recorded(), 0u);
+  EXPECT_EQ(trace.total_recorded(), 0u);
   EXPECT_EQ(trace.total_seen(), 0u);
+  EXPECT_EQ(trace.total_dropped(), 0u);
 }
 
 TEST(PacketKindName, AllKindsNamed) {

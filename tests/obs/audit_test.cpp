@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 namespace ldke::obs {
@@ -33,7 +34,10 @@ TEST(AuditSink, RecordsAndCountsByKind) {
   EXPECT_EQ(sink.total_seen(), 3u);
   EXPECT_EQ(sink.total_recorded(), 3u);
   EXPECT_EQ(sink.total_dropped(), 0u);
-  const auto counts = sink.counts_by_kind();
+  std::array<std::uint64_t, kAuditKindCount> counts{};
+  for (const AuditEvent& e : sink.merged()) {
+    ++counts[static_cast<std::size_t>(e.kind)];
+  }
   EXPECT_EQ(counts[static_cast<std::size_t>(AuditKind::kKeyEstablished)], 2u);
   EXPECT_EQ(counts[static_cast<std::size_t>(AuditKind::kEvicted)], 1u);
 }

@@ -7,9 +7,9 @@
 namespace ldke::obs {
 namespace {
 
-// Counter handle/name equivalence is pinned by tests/sim/trace_test.cpp
-// through the sim::TraceCounters alias; here we cover the families the
-// alias-era API did not have.
+// Counter handle/name equivalence is pinned by the TraceCounters suite
+// (tests/obs/counters_test.cpp); here we cover the gauge and histogram
+// families.
 
 TEST(MetricRegistry, GaugeHandleAndNameShareSlot) {
   MetricRegistry reg;

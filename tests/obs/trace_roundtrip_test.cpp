@@ -213,12 +213,20 @@ TEST(TraceRoundTrip, TraceDropsLineIsParsed) {
   std::ostringstream os;
   TraceSink sink{os};
   sink.write_meta("test", JsonValue{});
-  sink.write_trace_drops(100, 60, 30, 10);
+  sink.write_trace_drops("audit", 100, 70, 30);
+  // A record from a writer before the family field: the packet log's.
+  os << "{\"type\":\"trace_drops\",\"seen\":20,\"recorded\":8,"
+        "\"dropped\":5,\"filtered\":7}\n";
   std::istringstream in{os.str()};
   const auto data = load_trace(in);
   ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->trace_dropped, 30u);
-  EXPECT_EQ(data->trace_filtered, 10u);
+  EXPECT_EQ(data->skipped_lines, 0u);
+  EXPECT_EQ(data->trace_dropped, 35u);
+  EXPECT_EQ(data->dropped_by_family.at("audit"), 30u);
+  EXPECT_EQ(data->dropped_by_family.at("pkt"), 5u);
+  const std::string summary = render_summary(*data);
+  EXPECT_NE(summary.find("trace drops (audit)"), std::string::npos);
+  EXPECT_NE(summary.find("trace drops (pkt)"), std::string::npos);
 }
 
 TEST(TraceRoundTrip, MissingMetaOrNewerVersionRejected) {

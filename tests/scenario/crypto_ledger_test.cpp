@@ -1,7 +1,7 @@
-/// Crypto conservation: every F, seal and open a run performs is charged
-/// to exactly one account — a node's counters or the runner's residual,
-/// which ProtocolRunner::crypto_totals() sums — so a sink installed
-/// around the whole run, outermost, never sees an increment.
+/// Crypto conservation: every F, seal, open and MAC a run performs is
+/// charged to exactly one account — a node's counters or the runner's
+/// residual, which ProtocolRunner::crypto_totals() sums — so a sink
+/// installed around the whole run, outermost, never sees an increment.
 
 #include <gtest/gtest.h>
 
@@ -22,14 +22,15 @@ namespace {
 
 ::testing::AssertionResult all_zero(const crypto::CryptoCounters& c) {
   if (c.seals == 0 && c.opens == 0 && c.open_failures == 0 &&
-      c.prf_calls == 0 && c.sealed_bytes == 0 && c.opened_bytes == 0) {
+      c.prf_calls == 0 && c.sealed_bytes == 0 && c.opened_bytes == 0 &&
+      c.macs == 0) {
     return ::testing::AssertionSuccess();
   }
   return ::testing::AssertionFailure()
          << "seals " << c.seals << ", opens " << c.opens << ", open_failures "
          << c.open_failures << ", prf_calls " << c.prf_calls
          << ", sealed_bytes " << c.sealed_bytes << ", opened_bytes "
-         << c.opened_bytes;
+         << c.opened_bytes << ", macs " << c.macs;
 }
 
 core::RunnerConfig ledger_config() {
@@ -57,10 +58,11 @@ TEST(CryptoLedger, HashRefreshChargesTheNodeThatDoesIt) {
   EXPECT_EQ(node.catch_up_hash_epoch(node.hash_epoch() + 2), 2u);
   EXPECT_EQ(node.crypto_stats().prf_calls - before, 3 * keys);
 
-  // The revocation's tag is an HMAC, which the counters do not count;
-  // whatever it does count lands on the base station.
-  ASSERT_TRUE(runner.base_station()->revoke_clusters(runner.network(),
-                                                     {node.cid()}));
+  // The revocation's tag is one HMAC, charged to the base station.
+  core::BaseStation& bs = *runner.base_station();
+  const crypto::CryptoCounters bs_before = bs.crypto_stats();
+  ASSERT_TRUE(bs.revoke_clusters(runner.network(), {node.cid()}));
+  EXPECT_EQ(bs.crypto_stats().macs - bs_before.macs, 1u);
   EXPECT_TRUE(all_zero(outside));
 }
 

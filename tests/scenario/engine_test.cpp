@@ -163,9 +163,11 @@ TEST(ScenarioEngine, EmitsAuditStreamAndPerPhaseHealth) {
 
   // Every scenario dynamic left its typed record, with counts matching
   // the phase stats tallied independently by the engine.
-  const auto counts = audit.counts_by_kind();
+  const std::vector<obs::AuditEvent> events = audit.merged();
   const auto count_of = [&](obs::AuditKind kind) {
-    return counts[static_cast<std::size_t>(kind)];
+    return static_cast<std::uint64_t>(std::count_if(
+        events.begin(), events.end(),
+        [kind](const obs::AuditEvent& e) { return e.kind == kind; }));
   };
   EXPECT_GT(count_of(obs::AuditKind::kKeyEstablished), 0u);
   EXPECT_GT(count_of(obs::AuditKind::kMemberJoined), 0u);

@@ -25,7 +25,6 @@
 #include "analysis/experiment.hpp"
 #include "analysis/paper_data.hpp"
 #include "analysis/run_artifacts.hpp"
-#include "net/packet_trace.hpp"
 #include "attacks/adversary.hpp"
 #include "attacks/clone.hpp"
 #include "attacks/hello_flood.hpp"
@@ -37,6 +36,7 @@
 #include "core/health_probe.hpp"
 #include "core/metrics.hpp"
 #include "core/runner.hpp"
+#include "net/packet_trace.hpp"
 #include "obs/audit.hpp"
 #include "scenario/baseline_replay.hpp"
 #include "scenario/engine.hpp"
@@ -140,21 +140,44 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
   return true;
 }
 
+/// The --trace record logs: the packet trace and the audit stream, hung
+/// on the runner's network only when a trace file was asked for.
+struct Recorders {
+  net::PacketTrace packets{1 << 20};
+  obs::AuditSink audit;
+
+  Recorders(core::ProtocolRunner& runner, const CliOptions& opt) {
+    if (opt.trace_path.empty()) return;
+    runner.network().set_packet_trace(&packets);
+    runner.network().set_audit_sink(&audit);
+  }
+  // The network holds the logs' addresses.
+  Recorders(const Recorders&) = delete;
+  Recorders& operator=(const Recorders&) = delete;
+};
+
 /// Writes the requested artifacts after a run; non-fatal on I/O errors
-/// (the run's terminal output already happened).  The trace carries the
-/// packet log, the security-audit event stream, and one end-of-run
-/// health sample covering the whole delivery window.
+/// (the run's terminal output already happened).  The summary is the
+/// RunSummary with \p extra's members appended.  The trace carries the
+/// packet log, the security-audit event stream, and \p trace's health
+/// samples and meta extras; with no health sample given, one end-of-run
+/// sample covers the whole delivery window.
 int emit_artifacts(core::ProtocolRunner& runner, const CliOptions& opt,
-                   const net::PacketTrace* trace, const obs::AuditSink* audit,
-                   std::string_view tool) {
+                   const Recorders& recorders, std::string_view tool,
+                   const obs::JsonValue& extra = {},
+                   analysis::TraceArtifacts trace = {}) {
   if (!opt.summary_path.empty()) {
     std::ofstream out{opt.summary_path};
     if (!out) {
       std::cerr << "cannot write " << opt.summary_path << '\n';
       return 1;
     }
-    analysis::write_run_summary(out,
-                                analysis::collect_run_summary(runner, tool));
+    obs::JsonValue doc =
+        analysis::to_json(analysis::collect_run_summary(runner, tool));
+    if (extra.is_object()) {
+      for (const auto& [key, value] : extra.as_object()) doc.set(key, value);
+    }
+    out << doc.dump() << '\n';
   }
   if (!opt.trace_path.empty()) {
     std::ofstream out{opt.trace_path};
@@ -162,13 +185,14 @@ int emit_artifacts(core::ProtocolRunner& runner, const CliOptions& opt,
       std::cerr << "cannot write " << opt.trace_path << '\n';
       return 1;
     }
-    analysis::TraceArtifacts artifacts;
-    artifacts.packets = trace;
-    artifacts.audit = audit;
-    const std::int64_t now_ns = runner.sim().now().ns();
-    artifacts.health.push_back(
-        core::probe_health(runner, "run", now_ns, 0, now_ns));
-    analysis::write_trace_jsonl(out, runner, tool, artifacts);
+    trace.packets = &recorders.packets;
+    trace.audit = &recorders.audit;
+    if (trace.health.empty()) {
+      const std::int64_t now_ns = runner.sim().now().ns();
+      trace.health.push_back(
+          core::probe_health(runner, "run", now_ns, 0, now_ns));
+    }
+    analysis::write_trace_jsonl(out, runner, tool, trace);
   }
   return 0;
 }
@@ -187,12 +211,7 @@ core::RunnerConfig config_of(const CliOptions& opt) {
 
 int cmd_setup(const CliOptions& opt) {
   core::ProtocolRunner runner{config_of(opt)};
-  net::PacketTrace trace{1 << 20};
-  obs::AuditSink audit;
-  if (!opt.trace_path.empty()) {
-    trace.attach(runner.network());
-    runner.network().set_audit_sink(&audit);
-  }
+  const Recorders recorders{runner, opt};
   runner.run_key_setup();
   const auto m = core::collect_setup_metrics(runner);
   support::TextTable table({"metric", "value"});
@@ -211,10 +230,7 @@ int cmd_setup(const CliOptions& opt) {
   table.add_row({"energy (mJ)",
                  support::fmt(runner.network().energy().total_j() * 1e3, 2)});
   std::cout << (opt.csv ? table.to_csv() : table.render());
-  return emit_artifacts(runner, opt,
-                        opt.trace_path.empty() ? nullptr : &trace,
-                        opt.trace_path.empty() ? nullptr : &audit,
-                        "ldke_sim setup");
+  return emit_artifacts(runner, opt, recorders, "ldke_sim setup");
 }
 
 int cmd_sweep(const CliOptions& opt) {
@@ -294,12 +310,7 @@ int cmd_attack(const CliOptions& opt, const std::string& kind) {
 
 int cmd_lifecycle(const CliOptions& opt) {
   core::ProtocolRunner runner{config_of(opt)};
-  net::PacketTrace trace{1 << 20};
-  obs::AuditSink audit;
-  if (!opt.trace_path.empty()) {
-    trace.attach(runner.network());
-    runner.network().set_audit_sink(&audit);
-  }
+  const Recorders recorders{runner, opt};
   std::cout << "[1/6] key setup... " << std::flush;
   runner.run_key_setup();
   const auto m = core::collect_setup_metrics(runner);
@@ -335,10 +346,7 @@ int cmd_lifecycle(const CliOptions& opt) {
                     ? "joined\n"
                     : "rejected (keys re-randomized by the refresh — "
                       "provision newcomers with current material)\n");
-  return emit_artifacts(runner, opt,
-                        opt.trace_path.empty() ? nullptr : &trace,
-                        opt.trace_path.empty() ? nullptr : &audit,
-                        "ldke_sim lifecycle");
+  return emit_artifacts(runner, opt, recorders, "ldke_sim lifecycle");
 }
 
 /// Setup + routing, then the DataPlaneEngine's steady-state window:
@@ -349,12 +357,7 @@ int cmd_steady(const CliOptions& opt) {
     return 2;
   }
   core::ProtocolRunner runner{config_of(opt)};
-  net::PacketTrace trace{1 << 20};
-  obs::AuditSink audit;
-  if (!opt.trace_path.empty()) {
-    trace.attach(runner.network());
-    runner.network().set_audit_sink(&audit);
-  }
+  const Recorders recorders{runner, opt};
   std::cout << "setup + routing... " << std::flush;
   runner.run_key_setup();
   runner.run_routing_setup();
@@ -384,10 +387,7 @@ int cmd_steady(const CliOptions& opt) {
   table.add_row({"arena generations",
                  std::to_string(stats.arena_generations)});
   std::cout << (opt.csv ? table.to_csv() : table.render());
-  return emit_artifacts(runner, opt,
-                        opt.trace_path.empty() ? nullptr : &trace,
-                        opt.trace_path.empty() ? nullptr : &audit,
-                        "ldke_sim steady");
+  return emit_artifacts(runner, opt, recorders, "ldke_sim steady");
 }
 
 /// Runs a ScenarioSpec JSON file through the packet-level engine and
@@ -422,12 +422,7 @@ int cmd_scenario(const CliOptions& opt, const std::string& path) {
   core::ProtocolRunner runner{
       scenario::ScenarioEngine::make_runner_config(*spec, opt.seed)};
   scenario::ScenarioEngine engine{runner, *spec};
-  net::PacketTrace trace{1 << 20};
-  obs::AuditSink audit;
-  if (!opt.trace_path.empty()) {
-    trace.attach(runner.network());
-    runner.network().set_audit_sink(&audit);
-  }
+  const Recorders recorders{runner, opt};
   std::cout << "scenario '" << spec->name << "': " << spec->nodes
             << " nodes, " << spec->phases.size() << " phases, "
             << support::fmt(spec->total_duration_s(), 1)
@@ -459,9 +454,8 @@ int cmd_scenario(const CliOptions& opt, const std::string& path) {
   // The summary is a full RunSummary (same sections validate_obs.py
   // checks for every other command) with the scenario stats nested under
   // "scenario" — the digest and per-phase delivery windows ride there.
-  obs::JsonValue doc =
-      analysis::to_json(analysis::collect_run_summary(runner, "ldke_sim scenario"));
-  doc.set("scenario", stats.to_json());
+  obs::JsonValue extra;
+  extra.set("scenario", stats.to_json());
   if (opt.baselines) {
     // The adapter snapshots LDKE as freshly deployed (same seed, same
     // placement), the footing the predistribution baselines get.
@@ -496,32 +490,15 @@ int cmd_scenario(const CliOptions& opt, const std::string& path) {
       replays.push(replay.to_json());
     }
     std::cout << (opt.csv ? secured.to_csv() : secured.render());
-    doc.set("baseline_replays", std::move(replays));
+    extra.set("baseline_replays", std::move(replays));
   }
 
-  if (!opt.summary_path.empty()) {
-    std::ofstream out{opt.summary_path};
-    if (!out) {
-      std::cerr << "cannot write " << opt.summary_path << '\n';
-      return 1;
-    }
-    out << doc.dump() << '\n';
-  }
-  if (!opt.trace_path.empty()) {
-    std::ofstream out{opt.trace_path};
-    if (!out) {
-      std::cerr << "cannot write " << opt.trace_path << '\n';
-      return 1;
-    }
-    analysis::TraceArtifacts artifacts;
-    artifacts.packets = &trace;
-    artifacts.audit = &audit;
-    artifacts.health = engine.health();
-    artifacts.meta_extras.emplace_back("scenario", spec->name);
-    artifacts.meta_extras.emplace_back("scenario_digest", digest_hex);
-    analysis::write_trace_jsonl(out, runner, "ldke_sim scenario", artifacts);
-  }
-  return 0;
+  analysis::TraceArtifacts trace;
+  trace.health = engine.health();
+  trace.meta_extras.emplace_back("scenario", spec->name);
+  trace.meta_extras.emplace_back("scenario_digest", digest_hex);
+  return emit_artifacts(runner, opt, recorders, "ldke_sim scenario", extra,
+                        std::move(trace));
 }
 
 }  // namespace

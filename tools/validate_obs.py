@@ -13,6 +13,12 @@ timestamp — the §IV-C/§IV-D convergence property.  Evictions landing
 within --allow-tail-s of the end of the trace are excused: the run may
 simply have stopped before the next refresh round.
 
+It also checks the drop accounting: each `trace_drops` record names a
+known record family (no `family` means "pkt", as every writer before the
+field meant), appears at most once per family, satisfies
+seen == recorded + dropped, and the trace holds exactly `recorded` lines
+of that family.
+
 Usage:
   tools/validate_obs.py --summary run.json --trace run.jsonl
 """
@@ -39,7 +45,12 @@ AUDIT_KINDS = frozenset({
 # has one number type; the writer emits 250 for 250.0).
 NUMBER = (int, float)
 SUMMARY_SECTIONS = {
-    "config": {"node_count": int, "density": int, "side_m": int, "seed": int},
+    "config": {
+        "node_count": int,
+        "density": NUMBER,
+        "side_m": NUMBER,
+        "seed": int,
+    },
     "sim": {
         "events_executed": int,
         "queue_high_water": int,
@@ -60,6 +71,7 @@ SUMMARY_SECTIONS = {
         "prf_calls": int,
         "sealed_bytes": int,
         "opened_bytes": int,
+        "macs": int,
     },
     "energy": {"total_j": NUMBER, "tx_j": NUMBER, "rx_j": NUMBER},
     "latency": {
@@ -75,11 +87,15 @@ SUMMARY_SECTIONS = {
 }
 
 TRACE_LINE_FIELDS = {
-    "meta": {"v": int, "tool": str, "nodes": int, "density": int, "seed": int},
+    "meta": {
+        "v": int, "tool": str, "nodes": int, "density": NUMBER, "seed": int,
+    },
     "span": {"name": str, "t0": int, "t1": int, "depth": int},
     "pkt": {"t": int, "sender": int, "kind": str, "bytes": int},
     "delivery": {"src": int, "t_tx": int, "t_rx": int},
     "counters": {"snapshot": dict},
+    # `trace_drops.family` is optional (absent means "pkt"), so it is
+    # checked with the drop accounting below.
     "trace_drops": {"seen": int, "recorded": int, "dropped": int},
     # Schema v2 families.  `audit.subject` is optional (omitted when the
     # event has no counterpart node/cluster), so it is checked inline.
@@ -100,6 +116,9 @@ TRACE_LINE_FIELDS = {
         "epoch_mean": NUMBER,
     },
 }
+
+# trace_drops families; each one counts the lines of the same type.
+DROP_FAMILIES = frozenset({"pkt", "audit"})
 
 
 class Checker:
@@ -174,6 +193,7 @@ def check_trace(path, checker, allow_tail_s=2.0):
         return
 
     stats = {}
+    drops = []          # (lineno, record) of every trace_drops
     evictions = []      # (lineno, t_ns) of every eviction_issued
     refresh_ts = []     # t_ns of every refresh_applied
     last_audit_ns = None
@@ -203,6 +223,8 @@ def check_trace(path, checker, allow_tail_s=2.0):
                     and version not in ACCEPTED_TRACE_VERSIONS):
                 checker.fail(f"{where}: trace v{version}, validator knows "
                              f"v{ACCEPTED_TRACE_VERSIONS}")
+        elif line_type == "trace_drops":
+            drops.append((lineno, record))
         elif line_type == "span":
             t0, t1 = record.get("t0"), record.get("t1")
             if (isinstance(t0, int) and isinstance(t1, int)
@@ -243,6 +265,7 @@ def check_trace(path, checker, allow_tail_s=2.0):
                      f"found {stats.get('meta', 0)}")
     if stats.get("span", 0) == 0:
         checker.fail(f"{path}: no span lines")
+    check_drops(path, drops, stats, checker)
 
     # Eviction -> refresh convergence.  Survivors must re-key after every
     # revocation; an eviction with no refresh_applied at t >= t_evict is
@@ -259,6 +282,33 @@ def check_trace(path, checker, allow_tail_s=2.0):
                 f"by refresh_applied (and not within {allow_tail_s}s of "
                 f"trace end)")
     return stats
+
+
+def check_drops(path, drops, stats, checker):
+    """Each family's drops record must add up and match its line count."""
+    families = set()
+    for lineno, record in drops:
+        where = f"{path}:{lineno} (trace_drops)"
+        family = record.get("family", "pkt")
+        if not isinstance(family, str) or family not in DROP_FAMILIES:
+            checker.fail(f"{where}: unknown family {family!r}")
+            continue
+        if family in families:
+            checker.fail(f"{where}: second record for family '{family}'")
+        families.add(family)
+        seen = record.get("seen")
+        recorded = record.get("recorded")
+        dropped = record.get("dropped")
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (seen, recorded, dropped)):
+            continue  # the field check already reported it
+        if seen != recorded + dropped:
+            checker.fail(f"{where}: seen {seen} != recorded {recorded} + "
+                         f"dropped {dropped}")
+        lines = stats.get(family, 0)
+        if lines != recorded:
+            checker.fail(f"{where}: {lines} '{family}' lines, but {recorded} "
+                         f"recorded")
 
 
 def main():
