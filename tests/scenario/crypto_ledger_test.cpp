@@ -91,7 +91,8 @@ TEST(CryptoLedger, SteadyWindowLeavesNothingOutside) {
 }
 
 /// The `ldke lifecycle` path: setup, routing, reporting, a §IV-C
-/// re-clustering round, capture and §IV-D revocation, a §IV-E join.
+/// re-clustering round, capture and §IV-D revocation, the survivors'
+/// hash-refresh round in a data-plane window, a §IV-E join.
 TEST(CryptoLedger, LifecyclePathLeavesNothingOutside) {
   crypto::CryptoCounters outside;
   const crypto::ScopedCryptoCounters outer{outside};
@@ -115,7 +116,13 @@ TEST(CryptoLedger, LifecyclePathLeavesNothingOutside) {
   for (const auto& [cid, key] : material.cluster_keys) exposed.push_back(cid);
   ASSERT_TRUE(
       runner.base_station()->revoke_clusters(runner.network(), exposed));
-  runner.run_for(15.0);
+  core::DataPlaneConfig rekey;
+  rekey.duration_s = 15.0;
+  rekey.tick_interval_s = rekey.duration_s;
+  rekey.readings_per_tick = 0;
+  rekey.refresh_interval_s = 10.0;
+  core::DataPlaneEngine engine{runner, rekey};
+  ASSERT_EQ(engine.run().refresh_rounds, 1u);
   runner.deploy_new_node({150.0, 150.0});
   runner.run_for(2.0);
   EXPECT_TRUE(all_zero(outside));
