@@ -1,6 +1,8 @@
 #include "core/dataplane.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 
 namespace ldke::core {
@@ -100,11 +102,17 @@ void DataPlaneEngine::tick(net::Network& net) {
 }
 
 void DataPlaneEngine::originate(net::Network& net) {
+  // Sources take turns in deployment order, joiners after it in id
+  // order: ids follow space, so an id walk would sweep across the field.
+  const std::span<const net::NodeId> order =
+      net.topology().deployment_order();
   const std::size_t n = runner_.node_count();
   const net::NodeId bs =
       runner_.base_station() ? runner_.base_station()->id() : net::kNoNode;
   for (std::size_t k = 0; k < config_.readings_per_tick; ++k) {
-    SensorNode& node = runner_.node(next_source_);
+    SensorNode& node = runner_.node(
+        next_source_ < order.size() ? order[next_source_]
+                                    : static_cast<net::NodeId>(next_source_));
     next_source_ = (next_source_ + 1) % n;
     if (node.id() == bs) continue;
     fill_payload(node.id());
@@ -135,12 +143,23 @@ void DataPlaneEngine::evict_some(net::Network& net) {
   if (bs == nullptr) return;
   if (!evict_cycle_built_) {
     evict_cycle_built_ = true;
+    // Rotate in the heads' deployment order (a cluster id is its head's
+    // id; joiners rank after every original node, by id), not in id
+    // order, which would sweep across the field.
+    const std::span<const net::NodeId> order =
+        net.topology().deployment_order();
+    std::vector<std::size_t> rank(runner_.node_count());
+    std::iota(rank.begin(), rank.end(), std::size_t{0});
+    for (std::size_t draw = 0; draw < order.size(); ++draw) {
+      rank[order[draw]] = draw;
+    }
     for (const auto& node : runner_.nodes()) {
       const ClusterId cid = node->cid();
       if (cid == kNoCluster || cid == bs->cid()) continue;
       evict_cycle_.push_back(cid);
     }
-    std::sort(evict_cycle_.begin(), evict_cycle_.end());
+    std::sort(evict_cycle_.begin(), evict_cycle_.end(),
+              [&](ClusterId a, ClusterId b) { return rank[a] < rank[b]; });
     evict_cycle_.erase(
         std::unique(evict_cycle_.begin(), evict_cycle_.end()),
         evict_cycle_.end());

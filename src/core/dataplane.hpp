@@ -35,7 +35,8 @@ struct DataPlaneConfig {
   /// their epoch in one event, like the runner's refresh driver.
   double refresh_interval_s = 0.0;
   /// Cluster eviction every this many seconds (0 = off, or no base
-  /// station).  Cycles deterministically through the non-base clusters.
+  /// station).  Cycles deterministically through the non-base clusters,
+  /// in their heads' deployment order.
   double evict_interval_s = 0.0;
   std::size_t evict_batch = 1;  ///< clusters revoked per eviction event
 
@@ -95,7 +96,7 @@ class DataPlaneEngine {
   DataPlaneStats stats_;
 
   sim::SimTime end_{};
-  std::size_t next_source_ = 0;  ///< round-robin origination cursor
+  std::size_t next_source_ = 0;  ///< round-robin cursor, deployment order
 
   // Eviction rotation, built lazily on the first eviction event.
   std::vector<ClusterId> evict_cycle_;

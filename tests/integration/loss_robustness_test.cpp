@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <tuple>
 
 #include "core/metrics.hpp"
 #include "core/runner.hpp"
@@ -121,24 +120,31 @@ class CollisionLifecycle : public ::testing::Test {
     return cfg;
   }
 
-  /// Runs setup + routing + staggered reporting, returns (sent,
-  /// delivered, link-translation failures).
-  static std::tuple<std::size_t, std::size_t, std::uint64_t> run(
-      const RunnerConfig& cfg) {
+  struct Outcome {
+    std::size_t attempted = 0;  ///< stride-9 sources asked to report
+    std::size_t sent = 0;       ///< of those, the ones with a route
+    std::size_t delivered = 0;
+    std::uint64_t no_key = 0;   ///< link-translation failures
+  };
+
+  /// Runs setup + routing + staggered reporting.
+  static Outcome run(const RunnerConfig& cfg) {
     ProtocolRunner runner{cfg};
     runner.run_key_setup();
     runner.run_routing_setup(2.0);
-    std::size_t sent = 0;
+    Outcome out;
     for (net::NodeId id = 1; id < runner.node_count(); id += 9) {
+      ++out.attempted;
       if (runner.node(id).send_reading(runner.network(),
                                        support::bytes_of("x"))) {
-        ++sent;
+        ++out.sent;
       }
       runner.run_for(0.5);  // stagger: no CSMA exists in the model
     }
     runner.run_for(15.0);
-    return {sent, runner.base_station()->readings().size(),
-            runner.network().counters().value("envelope.no_key")};
+    out.delivered = runner.base_station()->readings().size();
+    out.no_key = runner.network().counters().value("envelope.no_key");
+    return out;
   }
 };
 
@@ -147,30 +153,33 @@ TEST_F(CollisionLifecycle, PaperTimingDegradesUnderContention) {
   // SensorSimII).  With collisions modeled, the narrow link-advert and
   // beacon windows lose frames, break the bordering-key invariant
   // (envelope.no_key > 0) and wreck the delivery rate — a genuine
-  // limitation this reproduction surfaces.
-  const auto [sent, delivered, no_key] = run(base_config());
-  EXPECT_GT(sent, 0u);
-  EXPECT_LT(delivered, sent / 2);
-  EXPECT_GT(no_key, 0u);
+  // limitation this reproduction surfaces.  Delivery is counted per
+  // attempted source: a source whose route died before it could send
+  // lost its reading as surely as one whose frame collided.
+  const Outcome paper = run(base_config());
+  const Outcome tuned = run(tuned_config(1));
+  ASSERT_GT(paper.attempted, 0u);
+  ASSERT_EQ(paper.attempted, tuned.attempted);
+  EXPECT_LT(2 * paper.delivered, paper.attempted);
+  EXPECT_LT(2 * paper.delivered, tuned.delivered);
+  EXPECT_GT(paper.no_key, 0u);
 }
 
 TEST_F(CollisionLifecycle, WidenedWindowsRestoreDelivery) {
   // Spreading the same one-shot adverts over a wider window removes the
   // contention and recovers delivery without any protocol change.
-  const auto [sent, delivered, no_key] = run(tuned_config(1));
-  EXPECT_GT(sent, 0u);
-  EXPECT_GT(delivered, sent / 2);
+  const Outcome tuned = run(tuned_config(1));
+  EXPECT_GT(tuned.sent, 0u);
+  EXPECT_GT(tuned.delivered, tuned.sent / 2);
 }
 
 TEST_F(CollisionLifecycle, AdvertRepeatsAddFurtherMargin) {
   // Repeats (DESIGN.md §5 extension) add loss margin on top: coverage
   // of the bordering-key invariant must not be *worse* than one-shot.
-  const auto [sent1, delivered1, no_key1] = run(tuned_config(1));
-  const auto [sent3, delivered3, no_key3] = run(tuned_config(3));
-  EXPECT_GT(delivered3, sent3 / 2);
-  EXPECT_LE(no_key3, no_key1 + 10);
-  (void)sent1;
-  (void)delivered1;
+  const Outcome once = run(tuned_config(1));
+  const Outcome thrice = run(tuned_config(3));
+  EXPECT_GT(thrice.delivered, thrice.sent / 2);
+  EXPECT_LE(thrice.no_key, once.no_key + 10);
 }
 
 TEST_F(CollisionLifecycle, CsmaRestoresDeliveryWithPaperTiming) {
@@ -178,9 +187,9 @@ TEST_F(CollisionLifecycle, CsmaRestoresDeliveryWithPaperTiming) {
   // timings at all: the MAC defers instead of colliding.
   RunnerConfig cfg = base_config();
   cfg.channel.csma = true;
-  const auto [sent, delivered, no_key] = run(cfg);
-  EXPECT_GT(sent, 0u);
-  EXPECT_GT(delivered, sent / 2);
+  const Outcome csma = run(cfg);
+  EXPECT_GT(csma.sent, 0u);
+  EXPECT_GT(csma.delivered, csma.sent / 2);
 }
 
 TEST_F(CollisionLifecycle, SetupStatisticsStillConverge) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
 namespace ldke::net {
 namespace {
@@ -119,6 +122,101 @@ TEST(Topology, InRangeMatchesNeighborList) {
       EXPECT_EQ(listed, topo.in_range(u, v));
     }
   }
+}
+
+/// The positions random_uniform() draws, in draw order: the same RNG
+/// calls on a copy of its stream.
+std::vector<Vec2> raw_draws(std::size_t count, double side,
+                            support::Xoshiro256& rng) {
+  std::vector<Vec2> drawn;
+  for (std::size_t i = 0; i < count; ++i) {
+    drawn.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
+  }
+  return drawn;
+}
+
+TEST(DeploymentOrder, RenumbersTheDrawsWithoutMovingThem) {
+  const std::size_t n = 2000;
+  const double side = 600.0;
+  const double range = Topology::range_for_density(n, side, 12.0);
+  support::Xoshiro256 rng{41};
+  const Topology topo = Topology::random_uniform(n, side, range, rng);
+  // The oracle: the unsorted deployment, ids in draw order.
+  support::Xoshiro256 again{41};
+  const std::vector<Vec2> drawn = raw_draws(n, side, again);
+  EXPECT_EQ(rng.next(), again.next());  // same RNG calls
+  const Topology oracle = Topology::from_positions(drawn, range);
+
+  const auto order = topo.deployment_order();
+  ASSERT_EQ(order.size(), n);
+  EXPECT_EQ(order[0], 0u);  // the base station keeps the first draw
+  std::vector<NodeId> ids(order.begin(), order.end());
+  std::sort(ids.begin(), ids.end());
+  for (NodeId id = 0; id < n; ++id) ASSERT_EQ(ids[id], id);  // a permutation
+
+  std::size_t moved = 0;
+  for (std::size_t draw = 0; draw < n; ++draw) {
+    const NodeId id = order[draw];
+    ASSERT_EQ(topo.position(id).x, drawn[draw].x);
+    ASSERT_EQ(topo.position(id).y, drawn[draw].y);
+    moved += id != draw ? 1 : 0;
+    std::vector<NodeId> mapped;
+    for (const NodeId v : oracle.neighbors(static_cast<NodeId>(draw))) {
+      mapped.push_back(order[v]);
+    }
+    std::sort(mapped.begin(), mapped.end());
+    const auto nbrs = topo.neighbors(id);
+    ASSERT_EQ(std::vector<NodeId>(nbrs.begin(), nbrs.end()), mapped)
+        << "draw " << draw;
+  }
+  EXPECT_GT(moved, n / 2);  // the labels really changed
+  EXPECT_EQ(topo.mean_degree(), oracle.mean_degree());
+}
+
+TEST(DeploymentOrder, FromPositionsKeepsTheGivenOrder) {
+  auto topo = Topology::from_positions({{5, 5}, {0, 0}, {9, 1}}, 2.0);
+  const auto order = topo.deployment_order();
+  EXPECT_EQ(std::vector<NodeId>(order.begin(), order.end()),
+            (std::vector<NodeId>{0, 1, 2}));
+  topo.add_node({1.0, 1.0});  // a joiner is not part of the deployment
+  EXPECT_EQ(topo.deployment_order().size(), 3u);
+}
+
+/// Median |u - v| over the edges u < v, under the labelling \p label.
+template <class Label>
+std::uint64_t median_edge_gap(const Topology& topo, Label label) {
+  std::vector<std::uint64_t> gaps;
+  for (NodeId u = 0; u < topo.size(); ++u) {
+    for (const NodeId v : topo.neighbors(u)) {
+      if (u < v) {
+        const std::uint64_t a = label(u);
+        const std::uint64_t b = label(v);
+        gaps.push_back(a > b ? a - b : b - a);
+      }
+    }
+  }
+  std::nth_element(gaps.begin(), gaps.begin() + gaps.size() / 2, gaps.end());
+  return gaps[gaps.size() / 2];
+}
+
+TEST(DeploymentOrder, RadioNeighborsGetNearbyIds) {
+  const std::size_t n = 10000;
+  const double side = 1000.0 * std::sqrt(n / 600.0);
+  support::Xoshiro256 rng{1};
+  const Topology topo = Topology::random_with_density(n, side, 12.0, rng);
+  std::vector<std::uint64_t> draw_of(n);
+  const auto order = topo.deployment_order();
+  for (std::size_t draw = 0; draw < n; ++draw) draw_of[order[draw]] = draw;
+  // Under draw-order labels (the unsorted deployment) an edge's ends are
+  // a random pair: median gap 2,973 ids, near the 0.29 n of two uniform
+  // draws.  Along the curve it is 6 ids.
+  const std::uint64_t by_draw =
+      median_edge_gap(topo, [&](NodeId id) { return draw_of[id]; });
+  const std::uint64_t by_id = median_edge_gap(topo, [](NodeId id) {
+    return static_cast<std::uint64_t>(id);
+  });
+  EXPECT_GT(by_draw, n / 5) << "the draw order is not the deployment's";
+  EXPECT_LT(by_id, 20u) << "ids do not follow space";
 }
 
 TEST(Vec2, DistanceBasics) {
