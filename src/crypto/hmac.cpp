@@ -1,5 +1,7 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "crypto/obs.hpp"
@@ -58,11 +60,47 @@ Sha256Digest hmac_sha256(std::span<const std::uint8_t> key,
   return ctx.finish();
 }
 
+namespace {
+
+/// Messages beyond this size are tagged without the memo; every message
+/// the protocol tags (a revocation's cid list, a join reply, a µTESLA
+/// command) is far smaller.
+constexpr std::size_t kLastMacMessageMax = 256;
+
+/// The thread's last mac(), inputs and tag by copy.  A §IV-D revocation
+/// floods one command that every node re-broadcasts once, so each node
+/// verifies the same (chain element, cid list) once per forwarding
+/// neighbour, and one delivery event asks it of every receiver in turn.
+struct LastMac {
+  bool valid = false;
+  std::size_t message_len = 0;
+  Key128 key{};
+  std::array<std::uint8_t, kLastMacMessageMax> message{};
+  MacTag tag{};
+};
+constinit thread_local LastMac t_last_mac;
+
+}  // namespace
+
 MacTag mac(const Key128& key, std::span<const std::uint8_t> message) noexcept {
   if (CryptoCounters* sink = crypto_counters_sink()) ++sink->macs;
+  LastMac& last = t_last_mac;
+  const bool memoizable = message.size() <= kLastMacMessageMax;
+  if (memoizable && last.valid && last.message_len == message.size() &&
+      last.key == key &&
+      std::equal(message.begin(), message.end(), last.message.begin())) {
+    return last.tag;
+  }
   const Sha256Digest full = hmac_sha256(key.span(), message);
   MacTag tag;
   std::memcpy(tag.data(), full.data(), tag.size());
+  if (memoizable) {
+    last.valid = true;
+    last.message_len = message.size();
+    last.key = key;
+    std::ranges::copy(message, last.message.begin());
+    last.tag = tag;
+  }
   return tag;
 }
 

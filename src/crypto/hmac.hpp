@@ -58,7 +58,10 @@ class HmacSha256 {
     std::span<const std::uint8_t> key,
     std::span<const std::uint8_t> message) noexcept;
 
-/// Protocol MAC: HMAC-SHA-256 truncated to kMacTagBytes.
+/// Protocol MAC: HMAC-SHA-256 truncated to kMacTagBytes.  The thread's
+/// last tag is remembered: a call whose key and message equal it byte
+/// for byte returns it without recomputing.  Every call counts one mac,
+/// hit or miss (crypto/obs.hpp).
 [[nodiscard]] MacTag mac(const Key128& key,
                          std::span<const std::uint8_t> message) noexcept;
 

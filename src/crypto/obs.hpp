@@ -11,12 +11,12 @@
 ///
 /// Counting rule: the counters record the crypto work the deployment
 /// does, not the work this process does.  one_way, SealContext(const
-/// Key128&) and SealContext::open answer repeated inputs from per-thread
-/// memos; a memo hit increments exactly the fields the computation would
-/// have (one prf call per one_way, two per context; opens, opened_bytes
-/// and, for a rejected envelope, open_failures).  Totals, per-node
-/// attribution and lane determinism are therefore independent of which
-/// calls hit.
+/// Key128&), SealContext::open and mac answer repeated inputs from
+/// per-thread memos; a memo hit increments exactly the fields the
+/// computation would have (one prf call per one_way, two per context;
+/// opens, opened_bytes and, for a rejected envelope, open_failures; one
+/// mac per tag).  Totals, per-node attribution and lane determinism are
+/// therefore independent of which calls hit.
 ///
 /// A holder (a node, for its key set S, Km and Ki; the base station, for
 /// each source's Ki) builds a context once per key value, as a mote

@@ -233,8 +233,8 @@ void Topology::cell_append(std::size_t cell, CellEntry entry) {
   cell_pool_[entry_of_[entry.id]] = entry;
 }
 
-void Topology::scan_into(std::vector<NodeId>& out, Vec2 center, double radius,
-                         NodeId exclude) const {
+std::size_t Topology::scan_into(std::vector<NodeId>& out, Vec2 center,
+                                double radius, NodeId exclude) const {
   const double cell = side_ / static_cast<double>(grid_dim_);
   const double r2 = radius * radius;
   const int reach = static_cast<int>(std::ceil(radius / cell));
@@ -245,39 +245,34 @@ void Topology::scan_into(std::vector<NodeId>& out, Vec2 center, double radius,
   const int x1 = std::min(dim - 1, cx + reach);
   const int y0 = std::max(0, cy - reach);
   const int y1 = std::min(dim - 1, cy + reach);
-  const auto each_cell = [&](auto&& visit) {
-    for (int gy = y0; gy <= y1; ++gy) {
-      const Slot* row =
-          cells_.data() + static_cast<std::size_t>(gy) * grid_dim_;
-      for (int gx = x0; gx <= x1; ++gx) visit(row[gx]);
+  // One pass over the stencil, filtering branch-free: write each
+  // candidate and advance past it only if it is in range and not
+  // excluded.  out grows only when a cell could overflow it.
+  std::size_t kept = 0;
+  for (int gy = y0; gy <= y1; ++gy) {
+    const Slot* row = cells_.data() + static_cast<std::size_t>(gy) * grid_dim_;
+    for (int gx = x0; gx <= x1; ++gx) {
+      const CellEntry* entry = cell_pool_.data() + row[gx].begin;
+      const CellEntry* const end = entry + row[gx].count;
+      if (kept + row[gx].count > out.size()) {
+        out.resize(2 * (kept + row[gx].count));
+      }
+      NodeId* const dst = out.data();
+      for (; entry != end; ++entry) {
+        dst[kept] = entry->id;
+        kept += static_cast<std::size_t>(
+            (distance_squared(center, entry->pos) <= r2) &
+            (entry->id != exclude));
+      }
     }
-  };
-  // Size the output for every candidate once, then filter branch-free:
-  // write each candidate and advance past it only if it is in range and
-  // not excluded.
-  std::size_t candidates = 0;
-  each_cell([&](const Slot& slot) { candidates += slot.count; });
-  std::size_t kept = out.size();
-  out.resize(kept + candidates);
-  NodeId* const dst = out.data();
-  each_cell([&](const Slot& slot) {
-    const CellEntry* entry = cell_pool_.data() + slot.begin;
-    for (const CellEntry* const end = entry + slot.count; entry != end;
-         ++entry) {
-      dst[kept] = entry->id;
-      kept += static_cast<std::size_t>(
-          (distance_squared(center, entry->pos) <= r2) &
-          (entry->id != exclude));
-    }
-  });
-  out.resize(kept);
+  }
+  return kept;
 }
 
 std::vector<NodeId> Topology::scan_neighbors(Vec2 center, double radius,
                                              NodeId exclude) const {
-  std::vector<NodeId> out;
-  out.reserve(static_cast<std::size_t>(expected_degree()) + 8);
-  scan_into(out, center, radius, exclude);
+  std::vector<NodeId> out(static_cast<std::size_t>(expected_degree()) + 8);
+  out.resize(scan_into(out, center, radius, exclude));
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -290,17 +285,15 @@ void Topology::rebuild_neighbor_lists() {
   nbr_pool_.reserve(
       static_cast<std::size_t>(static_cast<double>(n) * (degree + 1.0)));
   // One scratch buffer for every scan instead of a fresh vector per node.
-  std::vector<NodeId> scratch;
-  scratch.reserve(static_cast<std::size_t>(degree * 2.0) + 8);
+  std::vector<NodeId> scratch(static_cast<std::size_t>(degree * 2.0) + 8);
   total_degree_ = 0;
   for (NodeId id = 0; id < n; ++id) {
-    scratch.clear();
-    scan_into(scratch, positions_[id], range_, id);
-    std::sort(scratch.begin(), scratch.end());
-    const auto deg = static_cast<std::uint32_t>(scratch.size());
+    const auto deg = static_cast<std::uint32_t>(
+        scan_into(scratch, positions_[id], range_, id));
+    std::sort(scratch.begin(), scratch.begin() + deg);
     // Exact fit: the bulk layout carries zero slack.
     nbr_slots_[id] = {static_cast<std::uint32_t>(nbr_pool_.size()), deg, deg};
-    nbr_pool_.insert(nbr_pool_.end(), scratch.begin(), scratch.end());
+    nbr_pool_.insert(nbr_pool_.end(), scratch.begin(), scratch.begin() + deg);
     total_degree_ += deg;
   }
   nbr_pool_.shrink_to_fit();
@@ -413,27 +406,26 @@ void Topology::apply_displacements(std::span<const NodeId> moved,
   for (const NodeId m : moved) {
     ++maint_.movers_rescanned;
     const auto old_list = neighbors(m);
-    scratch_new_.clear();
-    scan_into(scratch_new_, positions_[m], range_, m);
-    if (scratch_new_.size() == old_list.size() &&
-        std::all_of(scratch_new_.begin(), scratch_new_.end(),
+    const std::size_t found = scan_into(scratch_new_, positions_[m], range_, m);
+    const std::span<NodeId> fresh{scratch_new_.data(), found};
+    if (fresh.size() == old_list.size() &&
+        std::all_of(fresh.begin(), fresh.end(),
                     [&](NodeId v) { return contains(old_list, v); })) {
       continue;
     }
-    std::sort(scratch_new_.begin(), scratch_new_.end());
+    std::sort(fresh.begin(), fresh.end());
     scratch_old_.assign(old_list.begin(), old_list.end());
     std::size_t i = 0;
     std::size_t j = 0;
-    while (i < scratch_old_.size() || j < scratch_new_.size()) {
-      if (j == scratch_new_.size() ||
-          (i < scratch_old_.size() && scratch_old_[i] < scratch_new_[j])) {
+    while (i < scratch_old_.size() || j < fresh.size()) {
+      if (j == fresh.size() ||
+          (i < scratch_old_.size() && scratch_old_[i] < fresh[j])) {
         const NodeId v = scratch_old_[i++];
         const bool v_moved = mover_stamp_[v] == stamp_epoch_;
         if (!v_moved) patch_erase(v, m);
         if (!v_moved || v > m) ++maint_.edges_removed;
-      } else if (i == scratch_old_.size() ||
-                 scratch_new_[j] < scratch_old_[i]) {
-        const NodeId v = scratch_new_[j++];
+      } else if (i == scratch_old_.size() || fresh[j] < scratch_old_[i]) {
+        const NodeId v = fresh[j++];
         const bool v_moved = mover_stamp_[v] == stamp_epoch_;
         if (!v_moved) patch_insert(v, m);
         if (!v_moved || v > m) ++maint_.edges_added;
@@ -442,7 +434,7 @@ void Topology::apply_displacements(std::span<const NodeId> moved,
         ++j;
       }
     }
-    store_list(m, scratch_new_);
+    store_list(m, fresh);
   }
   // Compact either pool once dead slots and slack outweigh live data.
   if (nbr_pool_.size() > 1024 && nbr_pool_.size() > 2 * total_degree_) {

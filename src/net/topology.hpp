@@ -21,14 +21,16 @@
 ///
 /// One spatial index serves every query and both maintenance paths: a
 /// grid of range-sized cells, each holding its nodes' (position, id)
-/// entries contiguously in a slot of one pool.  Bulk builds
-/// (construction, update_positions) lay the cells and the neighbor
-/// lists out exact-fit; apply_displacements() and add_node() patch both
-/// pools in O(movers), growing a full slot into slack at the pool tail
-/// and compacting once dead slack dominates.  The unit-disk identity (an
-/// edge flips only if an endpoint moved) lets non-movers keep their
-/// lists except for per-edge sorted patches, so both paths produce
-/// element-identical sorted neighbor lists.
+/// entries contiguously in a slot of one pool.  A scan walks the cells
+/// within its radius in one pass (3x3 at radio range), writing every
+/// candidate and keeping those in range.  Bulk builds (construction,
+/// update_positions) lay the cells and the neighbor lists out exact-fit;
+/// apply_displacements() and add_node() patch both pools in O(movers),
+/// growing a full slot into slack at the pool tail and compacting once
+/// dead slack dominates.  The unit-disk identity (an edge flips only if
+/// an endpoint moved) lets non-movers keep their lists except for
+/// per-edge sorted patches, so both paths produce element-identical
+/// sorted neighbor lists.
 
 #include <cstdint>
 #include <span>
@@ -172,11 +174,12 @@ class Topology {
   void cell_append(std::size_t cell, CellEntry entry);
   /// Points entry_of_ at each of \p cell's entries after they moved.
   void index_entries(const Slot& cell);
-  /// Appends nodes within \p radius of \p center (minus \p exclude) to
-  /// \p out in index order, unsorted; the range already in \p out is
-  /// untouched.
-  void scan_into(std::vector<NodeId>& out, Vec2 center, double radius,
-                 NodeId exclude) const;
+  /// Writes the nodes within \p radius of \p center (minus \p exclude)
+  /// to the front of \p out in index order, unsorted, and returns how
+  /// many.  \p out is scratch: it grows, never shrinks, when a cell could
+  /// overflow it, and what lies past the returned count is garbage.
+  [[nodiscard]] std::size_t scan_into(std::vector<NodeId>& out, Vec2 center,
+                                      double radius, NodeId exclude) const;
   /// scan_into() into a fresh vector, sorted ascending.
   [[nodiscard]] std::vector<NodeId> scan_neighbors(Vec2 center, double radius,
                                                    NodeId exclude) const;

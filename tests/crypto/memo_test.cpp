@@ -1,15 +1,18 @@
 // The per-thread memos behind one_way, SealContext(const Key128&) with
-// SealContext::reuse, and SealContext::open: exact-input hits only, the
-// same counter increments as the computation (none for reuse), and the
-// same results from any number of threads.
+// SealContext::reuse, SealContext::open and mac: exact-input hits only,
+// the same counter increments as the computation (none for reuse), and
+// the same results from any number of threads.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "crypto/drbg.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/key_memo.hpp"
 #include "crypto/obs.hpp"
 #include "crypto/prf.hpp"
@@ -187,6 +190,132 @@ TEST(OpenMemo, InterleavedFramesAndKeysMatchFreshContexts) {
   }
 }
 
+// ---- mac ----
+
+// The protocol tag computed without the memo: HMAC-SHA-256, truncated.
+MacTag reference_mac(const Key128& key, const Bytes& message) {
+  const Sha256Digest full = hmac_sha256(key.span(), message);
+  MacTag tag;
+  std::memcpy(tag.data(), full.data(), tag.size());
+  return tag;
+}
+
+// A revocation command heard from every neighbour that forwards it.
+TEST(MacMemo, RepeatedTagEqualsTruncatedHmacAndCountsEachCall) {
+  Drbg drbg{0x3a1};
+  const Key128 key = drbg.next_key();
+  const Bytes message = random_bytes(drbg, 14);
+  const MacTag want = reference_mac(key, message);
+
+  CryptoCounters counts;
+  ScopedCryptoCounters scope{counts};
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(mac(key, message), want) << "call " << i;
+  }
+  EXPECT_TRUE(verify_mac(key, message, want));
+  EXPECT_EQ(counts.macs, 6u);
+}
+
+// Each variant differs from a just-memoized tag in one input only; each
+// must miss and match its own unmemoized tag.
+TEST(MacMemo, AnyChangedKeyByteMessageByteOrLengthMisses) {
+  Drbg drbg{0x3a2};
+  const Key128 key = drbg.next_key();
+  const Bytes message = random_bytes(drbg, 30);
+
+  struct Variant {
+    const char* what;
+    Key128 key;
+    Bytes message;
+  };
+  std::vector<Variant> variants;
+  for (const std::size_t at : {std::size_t{0}, kKeyBytes - 1}) {
+    Variant v{"key byte", key, message};
+    v.key.bytes[at] ^= 0x01;
+    variants.push_back(v);
+  }
+  for (const std::size_t at : {std::size_t{0}, message.size() - 1}) {
+    Variant v{"message byte", key, message};
+    v.message[at] ^= 0x80;
+    variants.push_back(v);
+  }
+  variants.push_back(
+      {"shorter", key, Bytes(message.begin(), message.end() - 1)});
+  Bytes longer = message;
+  longer.push_back(0);
+  variants.push_back({"longer", key, longer});
+  variants.push_back({"empty", key, {}});
+
+  for (const Variant& v : variants) {
+    ASSERT_EQ(mac(key, message), reference_mac(key, message)) << v.what;
+    CryptoCounters counts;
+    ScopedCryptoCounters scope{counts};
+    EXPECT_EQ(mac(v.key, v.message), reference_mac(v.key, v.message)) << v.what;
+    EXPECT_EQ(counts.macs, 1u) << v.what;
+  }
+}
+
+// Messages past the memo's bound are tagged without it: two that agree
+// in every byte the memo could hold still get their own tags.
+TEST(MacMemo, MessageOverTheBoundBypassesTheMemoAndStillCounts) {
+  Drbg drbg{0x3a3};
+  const Key128 key = drbg.next_key();
+  const Bytes long_a = random_bytes(drbg, 400);
+  Bytes long_b = long_a;
+  long_b.back() ^= 0x01;
+  const Bytes short_m(long_a.begin(), long_a.begin() + 40);
+
+  CryptoCounters counts;
+  ScopedCryptoCounters scope{counts};
+  EXPECT_EQ(mac(key, short_m), reference_mac(key, short_m));
+  for (int rep = 0; rep < 2; ++rep) {
+    EXPECT_EQ(mac(key, long_a), reference_mac(key, long_a)) << "rep " << rep;
+    EXPECT_EQ(mac(key, long_b), reference_mac(key, long_b)) << "rep " << rep;
+  }
+  EXPECT_EQ(mac(key, short_m), reference_mac(key, short_m));
+  EXPECT_EQ(counts.macs, 6u);
+}
+
+TEST(MacMemo, InterleavedKeysAndMessagesMatchUnmemoizedReference) {
+  Drbg drbg{0x3a4};
+  std::vector<Key128> keys;
+  for (int i = 0; i < 3; ++i) keys.push_back(drbg.next_key());
+  keys.push_back(Key128{});  // the memo's initial key bytes
+  std::vector<Bytes> messages;
+  for (const std::size_t len : {0, 1, 6, 8, 55, 64, 255, 256, 257, 300}) {
+    messages.push_back(random_bytes(drbg, len));
+  }
+  messages.push_back(Bytes(8, 0));
+
+  CryptoCounters counts;
+  ScopedCryptoCounters scope{counts};
+  std::uint64_t calls = 0;
+  const auto check = [&](const Key128& k, const Bytes& m) {
+    const MacTag want = reference_mac(k, m);
+    for (int rep = 0; rep < 2; ++rep) {
+      EXPECT_EQ(mac(k, m), want) << "len " << m.size();
+      ++calls;
+    }
+  };
+  // Keys change between consecutive calls, then messages do.
+  for (const Bytes& m : messages) {
+    for (const Key128& k : keys) check(k, m);
+  }
+  for (const Key128& k : keys) {
+    for (const Bytes& m : messages) check(k, m);
+  }
+  EXPECT_EQ(counts.macs, calls);
+}
+
+// A thread's first call, with the memo still in its initial state, asks
+// for the all-zero key and the empty message.
+TEST(MacMemo, FirstCallOnAThreadIsComputed) {
+  MacTag got{};
+  std::thread worker([&] { got = mac(Key128{}, {}); });
+  worker.join();
+  EXPECT_EQ(got, reference_mac(Key128{}, {}));
+}
+
 // ---- SealContext(const Key128&) ----
 
 TEST(ContextMemo, ContextFromMemoSealsLikeOneFromDerivePair) {
@@ -356,6 +485,7 @@ TEST(CryptoMemoThreads, PoolWorkersMatchSingleThreadReference) {
     std::vector<std::optional<Bytes>> opened;
     std::vector<Key128> refreshed;
     std::vector<Bytes> sealed;
+    std::vector<MacTag> tags;
     CryptoCounters counts;
   };
   // Task t walks the inputs from offset t, so workers hit and miss in
@@ -369,6 +499,8 @@ TEST(CryptoMemoThreads, PoolWorkersMatchSingleThreadReference) {
         const SealContext ctx{keys[k % keys.size()]};
         r.opened.push_back(ctx.open(f.nonce, f.sealed, f.aad));
         r.opened.push_back(ctx.open(f.nonce, f.sealed, f.aad));
+        r.tags.push_back(mac(keys[k % keys.size()], f.aad));
+        r.tags.push_back(mac(keys[k % keys.size()], f.aad));
       }
     }
     for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -391,6 +523,7 @@ TEST(CryptoMemoThreads, PoolWorkersMatchSingleThreadReference) {
     EXPECT_EQ(pooled[t].opened, reference[t].opened) << "task " << t;
     EXPECT_EQ(pooled[t].refreshed, reference[t].refreshed) << "task " << t;
     EXPECT_EQ(pooled[t].sealed, reference[t].sealed) << "task " << t;
+    EXPECT_EQ(pooled[t].tags, reference[t].tags) << "task " << t;
     const CryptoCounters& got = pooled[t].counts;
     const CryptoCounters& want = reference[t].counts;
     EXPECT_EQ(got.opens, want.opens) << "task " << t;
@@ -398,6 +531,7 @@ TEST(CryptoMemoThreads, PoolWorkersMatchSingleThreadReference) {
     EXPECT_EQ(got.opened_bytes, want.opened_bytes) << "task " << t;
     EXPECT_EQ(got.prf_calls, want.prf_calls) << "task " << t;
     EXPECT_EQ(got.seals, want.seals) << "task " << t;
+    EXPECT_EQ(got.macs, want.macs) << "task " << t;
   }
   // Two contexts per frame, 50 refreshes and one context per key; half of
   // the opens are under the wrong key.
@@ -405,6 +539,13 @@ TEST(CryptoMemoThreads, PoolWorkersMatchSingleThreadReference) {
   EXPECT_EQ(first.prf_calls, frames.size() * 2 * 2 + keys.size() * (50 + 2));
   EXPECT_EQ(first.opens, frames.size() * 2 * 2);
   EXPECT_EQ(first.open_failures, first.opens / 2);
+  EXPECT_EQ(first.macs, first.opens);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const Frame& f = frames[i];
+    EXPECT_EQ(reference[0].tags[4 * i], reference_mac(keys[f.key], f.aad));
+    EXPECT_EQ(reference[0].tags[4 * i + 2],
+              reference_mac(keys[(f.key + 1) % keys.size()], f.aad));
+  }
 }
 
 }  // namespace
