@@ -26,7 +26,6 @@ DataPlaneEngine::DataPlaneEngine(ProtocolRunner& runner,
 DataPlaneStats DataPlaneEngine::run() {
   net::Network& net = runner_.network();
   sim::Simulator& sim = runner_.sim();
-  net::PayloadArena::Scope arena_scope{runner_.payload_arena()};
 
   const sim::SimTime start = sim.now();
   end_ = start + sim::SimTime::from_seconds(config_.duration_s);
@@ -45,9 +44,6 @@ DataPlaneStats DataPlaneEngine::run() {
   sim.run(end_);
   stats_.sim_elapsed_s = (sim.now() - start).seconds();
   runner_.timeline().end_span(span, sim.now().ns());
-  // Sweep once more: deliveries during the final ticks have drained
-  // references from earlier generations.
-  runner_.payload_arena().reclaim();
   return stats_;
 }
 
@@ -56,7 +52,8 @@ void DataPlaneEngine::schedule_tick(net::Network& net) {
       runner_.sim().now() + sim::SimTime::from_seconds(config_.tick_interval_s);
   if (next > end_) return;
   runner_.sim().schedule_at(next, [this, &net] {
-    tick(net);
+    ++stats_.ticks;
+    originate(net);
     schedule_tick(net);
   });
 }
@@ -88,16 +85,6 @@ void DataPlaneEngine::fill_payload(net::NodeId source) {
   const std::uint64_t seq = stats_.attempts;
   for (std::size_t i = 0; i < payload_.size(); ++i) {
     payload_[i] = static_cast<std::uint8_t>(source * 131 + seq * 29 + i * 7);
-  }
-}
-
-void DataPlaneEngine::tick(net::Network& net) {
-  ++stats_.ticks;
-  originate(net);
-  if (config_.arena_generation_ticks != 0 &&
-      stats_.ticks % config_.arena_generation_ticks == 0) {
-    runner_.payload_arena().advance_generation();
-    ++stats_.arena_generations;
   }
 }
 

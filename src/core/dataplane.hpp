@@ -11,11 +11,11 @@
 /// the paper's per-hop §IV-C Step 2: the node seals one envelope under
 /// its cluster key and broadcasts it once.
 ///
-/// Mid-run the engine periodically advances the payload arena's
-/// generation so steady-state memory stays bounded by the in-flight
-/// working set (see PayloadArena::advance_generation), and optionally
-/// applies hash refresh rounds and cluster evictions to exercise the
-/// control plane concurrently with traffic.
+/// Each frame's payload block is freed at its last release (see
+/// payload.hpp), so payload memory tracks the frames in flight, not the
+/// window's length.  Optionally the engine applies hash refresh rounds
+/// and cluster evictions to exercise the control plane concurrently
+/// with traffic.
 
 #include <cstdint>
 #include <vector>
@@ -40,9 +40,9 @@ struct DataPlaneConfig {
   double evict_interval_s = 0.0;
   std::size_t evict_batch = 1;  ///< clusters revoked per eviction event
 
-  /// Advance the payload arena's generation every this many ticks
-  /// (0 = never).  Bounds steady-state RSS; see payload_arena.hpp.
-  std::uint32_t arena_generation_ticks = 16;
+  /// Not a setting: perfbench still divides by it.  The benchmark PR
+  /// that stops reading it deletes it (ROADMAP item 4).
+  static constexpr std::uint32_t arena_generation_ticks = 16;
 };
 
 struct DataPlaneStats {
@@ -51,8 +51,10 @@ struct DataPlaneStats {
   std::uint64_t originated = 0;  ///< readings actually sent
   std::uint64_t refresh_rounds = 0;
   std::uint64_t clusters_evicted = 0;
-  std::uint64_t arena_generations = 0;
   double sim_elapsed_s = 0.0;
+  /// Always 0: perfbench still reads it.  The benchmark PR that stops
+  /// reading it deletes it (ROADMAP item 4).
+  static constexpr std::uint64_t arena_generations = 0;
 };
 
 class DataPlaneEngine {
@@ -83,7 +85,6 @@ class DataPlaneEngine {
   void schedule_refresh(net::Network& net);
   void schedule_evict(net::Network& net);
 
-  void tick(net::Network& net);
   void originate(net::Network& net);
   void refresh_all();
   void evict_some(net::Network& net);

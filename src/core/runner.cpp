@@ -76,13 +76,8 @@ void ProtocolRunner::setup_sharding() {
   sim_.enable_sharding(lanes, lookahead, *pool_);
   network_->enable_lanes(*sim_.kernel());
   lane_crypto_.assign(lanes, {});
-  lane_arenas_.clear();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    lane_arenas_.push_back(std::make_unique<net::PayloadArena>());
-  }
   sim_.kernel()->set_lane_env(
       [this](std::uint32_t lane, const std::function<void()>& body) {
-        net::PayloadArena::Scope arena_scope{*lane_arenas_[lane]};
         crypto::ScopedCryptoCounters crypto_scope{lane_crypto_[lane]};
         body();
       });
@@ -96,7 +91,6 @@ void ProtocolRunner::fold_lane_state() {
     lane = {};
   }
   network_->fold_lane_metrics();
-  for (auto& arena : lane_arenas_) arena->reset();
 
   // Lane-balance figures for ldke_trace's summary.  Gauges (overwrite
   // semantics) so repeated folds stay idempotent.
@@ -133,7 +127,6 @@ void ProtocolRunner::fold_lane_state() {
 }
 
 void ProtocolRunner::run_key_setup() {
-  net::PayloadArena::Scope arena_scope{payload_arena_};
   crypto::ScopedCryptoCounters obs_guard{crypto_residual_};
   const std::int64_t t0 = sim_.now().ns();
   const obs::SpanId span = timeline_.begin_span("key_setup", t0);
@@ -150,68 +143,49 @@ void ProtocolRunner::run_key_setup() {
   sim_.run(sim::SimTime::from_seconds(end));
   timeline_.end_span(span, sim_.now().ns());
   fold_lane_state();
-  // Setup traffic is done: recycle every payload chunk whose packets
-  // have all been delivered (sniffer-retained payloads keep theirs).
-  payload_arena_.reset();
 }
 
 void ProtocolRunner::run_routing_setup(double settle_s) {
-  net::PayloadArena::Scope arena_scope{payload_arena_};
   if (base_station_ == nullptr) return;
   crypto::ScopedCryptoCounters obs_guard{crypto_residual_};
   const obs::SpanId span = timeline_.begin_span("routing", sim_.now().ns());
   // Each call is a fresh beacon round: forget previous gradients so the
   // flood propagates again (late-deployed nodes get routes this way).
   for (auto& node : nodes_) node->reset_routing();
-  if (sim::ShardedKernel* kernel = sim_.kernel()) {
+  {
     // The root's beacon kick-off must land in the base station's lane.
     sim::ShardedKernel::LaneScope scope{
-        *kernel, network_->lane_of(base_station_->id())};
-    base_station_->start_routing_root(*network_);
-  } else {
+        network_->lane_of(base_station_->id())};
     base_station_->start_routing_root(*network_);
   }
   sim_.run(sim_.now() + sim::SimTime::from_seconds(settle_s));
   timeline_.end_span(span, sim_.now().ns());
   fold_lane_state();
-  payload_arena_.reset();
 }
 
 void ProtocolRunner::run_for(double seconds) {
-  net::PayloadArena::Scope arena_scope{payload_arena_};
   crypto::ScopedCryptoCounters obs_guard{crypto_residual_};
   const obs::SpanId span = timeline_.begin_span("run", sim_.now().ns());
   sim_.run(sim_.now() + sim::SimTime::from_seconds(seconds));
   timeline_.end_span(span, sim_.now().ns());
   fold_lane_state();
-  payload_arena_.reset();
 }
 
 void ProtocolRunner::run_recluster_round() {
-  net::PayloadArena::Scope arena_scope{payload_arena_};
   crypto::ScopedCryptoCounters obs_guard{crypto_residual_};
   const obs::SpanId span = timeline_.begin_span("recluster", sim_.now().ns());
   const ProtocolConfig& p = config_.protocol;
-  sim::ShardedKernel* kernel = sim_.kernel();
   for (auto& node : nodes_) {
-    if (kernel != nullptr) {
-      // Recluster kicks mutate node state and schedule node timers:
-      // bind each to the node's home lane so its events stay lane-local.
-      sim::ShardedKernel::LaneScope scope{*kernel,
-                                          network_->lane_of(node->id())};
-      node->begin_recluster(*network_);
-    } else {
-      node->begin_recluster(*network_);
-    }
+    // Recluster kicks mutate node state and schedule node timers: bind
+    // each to the node's home lane so its events stay lane-local.
+    sim::ShardedKernel::LaneScope scope{network_->lane_of(node->id())};
+    node->begin_recluster(*network_);
   }
   for (auto& node : nodes_) {
     const double link_at =
         p.link_phase_start_s + sim_.rng().uniform(0.0, p.link_phase_jitter_s);
     SensorNode* raw = node.get();
-    std::optional<sim::ShardedKernel::LaneScope> scope;
-    if (kernel != nullptr) {
-      scope.emplace(*kernel, network_->lane_of(node->id()));
-    }
+    sim::ShardedKernel::LaneScope scope{network_->lane_of(node->id())};
     sim_.schedule_in(sim::SimTime::from_seconds(link_at),
                      [raw, this] { raw->send_recluster_link_advert(*network_); });
     sim_.schedule_in(sim::SimTime::from_seconds(p.master_erase_s),
@@ -225,19 +199,14 @@ void ProtocolRunner::run_recluster_round() {
 }
 
 SensorNode& ProtocolRunner::deploy_new_node(net::Vec2 pos) {
-  net::PayloadArena::Scope arena_scope{payload_arena_};
   crypto::ScopedCryptoCounters obs_guard{crypto_residual_};
   const net::NodeId id = network_->deploy_position(pos);
   NodeSecrets secrets =
       provision_new_node(roots_, id, commitment_, mutesla_commitment_);
   nodes_.push_back(std::make_unique<SensorNode>(std::move(secrets), protocol_));
   network_->attach(*nodes_.back());
-  if (sim::ShardedKernel* kernel = sim_.kernel()) {
-    sim::ShardedKernel::LaneScope scope{*kernel, network_->lane_of(id)};
-    nodes_.back()->start(*network_);
-  } else {
-    nodes_.back()->start(*network_);
-  }
+  sim::ShardedKernel::LaneScope scope{network_->lane_of(id)};
+  nodes_.back()->start(*network_);
   return *nodes_.back();
 }
 

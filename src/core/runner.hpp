@@ -15,7 +15,6 @@
 #include "core/sensor_node.hpp"
 #include "crypto/obs.hpp"
 #include "net/network.hpp"
-#include "net/payload_arena.hpp"
 #include "obs/delivery.hpp"
 #include "obs/span.hpp"
 #include "sim/sharded.hpp"
@@ -99,12 +98,6 @@ class ProtocolRunner {
   /// Mutable timeline handle for external drivers: the steady-state
   /// DataPlaneEngine records its own "steady_state" span here.
   [[nodiscard]] obs::PhaseTimeline& timeline() noexcept { return timeline_; }
-  /// The runner's payload arena.  The DataPlaneEngine advances its
-  /// generation mid-run so steady-state memory stays bounded by the
-  /// in-flight working set instead of growing with run length.
-  [[nodiscard]] net::PayloadArena& payload_arena() noexcept {
-    return payload_arena_;
-  }
   /// End-to-end DATA latency samples (origination at the source through
   /// acceptance at the base station).
   [[nodiscard]] const obs::DeliveryTracker& deliveries() const noexcept {
@@ -128,13 +121,13 @@ class ProtocolRunner {
   /// Installs the sharded kernel when config_.kernel asks for more than
   /// one lane (and the channel models allow it): builds the worker pool,
   /// derives the lookahead from the channel's minimum latency, carves
-  /// the deployment into lanes and gives every lane its own payload
-  /// arena and crypto counter sink.
+  /// the deployment into lanes and gives every lane its own crypto
+  /// counter sink.
   void setup_sharding();
   /// After a sharded run: folds per-lane crypto residuals and metric
   /// registries back into the main ones (in lane order — integer adds,
-  /// so the totals are independent of lane count), recycles lane arenas
-  /// and publishes the kernel's window/halo/balance figures as gauges.
+  /// so the totals are independent of lane count) and publishes the
+  /// kernel's window/halo/balance figures as gauges.
   void fold_lane_state();
 
   RunnerConfig config_;
@@ -149,12 +142,6 @@ class ProtocolRunner {
   DeploymentSecrets roots_;
   crypto::Key128 commitment_;
   crypto::Key128 mutesla_commitment_;
-  /// Payload bytes for every packet sent while this runner drives the
-  /// sim; reset between phases recycles chunks whose payloads are gone.
-  net::PayloadArena payload_arena_;
-  /// One arena per lane under the sharded kernel (the main arena serves
-  /// the serial phases); unique_ptrs because arenas are not movable.
-  std::vector<std::unique_ptr<net::PayloadArena>> lane_arenas_;
   /// Per-lane crypto sinks for event work not attributed to a node;
   /// folded into crypto_residual_ after each run.
   std::vector<crypto::CryptoCounters> lane_crypto_;

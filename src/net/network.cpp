@@ -127,14 +127,10 @@ NodeId Network::deploy_position(Vec2 pos) {
 void Network::start_all() {
   for (Node* node : nodes_) {
     if (node == nullptr) continue;
-    if (kernel_ != nullptr) {
-      // Bind the (serial) starting thread to the node's home lane so its
-      // kick-off timers land in that lane's scheduler.
-      sim::ShardedKernel::LaneScope scope{*kernel_, lane_of_[node->id()]};
-      node->start(*this);
-    } else {
-      node->start(*this);
-    }
+    // Bind the (serial) starting thread to the node's home lane so its
+    // kick-off timers land in that lane's scheduler.
+    sim::ShardedKernel::LaneScope scope{lane_of(node->id())};
+    node->start(*this);
   }
 }
 

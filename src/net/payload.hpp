@@ -8,25 +8,26 @@
 /// sniffer record and forwarded re-broadcast then captures a refcount
 /// bump instead of a copy.
 ///
-/// Layout: a PayloadRef is a single pointer to a PayloadBlock whose
-/// bytes follow it contiguously — header, length and data share one
-/// cache line for short payloads.  The block lives either in its own
-/// allocation or inside a PayloadArena chunk (see payload_arena.hpp);
-/// refcounting happens on the block's owner header either way, so the
-/// ref neither knows nor cares which.  At 8 bytes a PayloadRef keeps
-/// Packet at 16 bytes and channel-delivery captures inside EventFn's
-/// inline budget.  Receivers get a read-only view; anything that wants
-/// to mutate (fuzzers, forgery harnesses) materializes its own buffer
-/// via to_bytes().
+/// Layout: a PayloadRef is a single pointer to one heap block,
+/// [atomic refcount | size | bytes], so header, length and data share
+/// one cache line for short payloads.  The last release frees the block:
+/// a payload's memory lasts exactly as long as the deliveries, sniffer
+/// records and forwards that still hold it.  The count is atomic because
+/// under the sharded kernel a halo delivery copies a payload on one
+/// lane's thread and drops it on another's.  At 8 bytes a PayloadRef
+/// keeps Packet at 16 bytes and channel-delivery captures inside
+/// EventFn's inline budget.  Receivers get a read-only view; anything
+/// that wants to mutate (fuzzers, forgery harnesses) materializes its
+/// own buffer via to_bytes().
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <span>
 #include <utility>
 
-#include "net/payload_arena.hpp"
 #include "support/hex.hpp"
 
 namespace ldke::net {
@@ -35,8 +36,7 @@ class PayloadRef {
  public:
   PayloadRef() = default;
 
-  /// Copies \p bytes once into a fresh shared block (arena-backed when a
-  /// PayloadArena::Scope is active on this thread).
+  /// Copies \p bytes once into a fresh shared block.
   PayloadRef(support::Bytes&& bytes) {  // NOLINT(google-explicit-constructor)
     if (!bytes.empty()) adopt(bytes.data(), bytes.size());
   }
@@ -125,50 +125,63 @@ class PayloadRef {
   }
 
   /// Process-wide count of shared blocks created (i.e. payload byte
-  /// allocations, arena-backed or not).  The broadcast microbenchmark
-  /// and channel tests use deltas of this to pin "O(1) allocations per
-  /// transmission".
+  /// allocations).  The broadcast microbenchmark and channel tests use
+  /// deltas of this to pin "O(1) allocations per transmission".
   [[nodiscard]] static std::uint64_t buffers_created() noexcept {
-    return alloc_count().load(std::memory_order_relaxed);
+    return counts().created.load(std::memory_order_relaxed);
+  }
+  /// Process-wide count of blocks created and not yet freed: the
+  /// payloads some ref still holds.
+  [[nodiscard]] static std::uint64_t buffers_live() noexcept {
+    return counts().live.load(std::memory_order_relaxed);
   }
 
  private:
-  void adopt(const std::uint8_t* bytes, std::size_t n) {
-    detail::PayloadBlock* block;
-    if (PayloadArena* arena = PayloadArena::current()) {
-      block = arena->allocate(n);
-    } else {
-      void* raw = ::operator new(sizeof(detail::PayloadOwner) +
-                                 sizeof(detail::PayloadBlock) + n);
-      auto* owner = ::new (raw) detail::PayloadOwner{{1}};
-      block = ::new (owner + 1) detail::PayloadBlock{
-          owner, static_cast<std::uint32_t>(n)};
+  /// One payload's allocation; the bytes follow the header.
+  struct Block {
+    std::atomic<std::uint32_t> refs;
+    std::uint32_t size;
+
+    [[nodiscard]] const std::uint8_t* bytes() const noexcept {
+      return reinterpret_cast<const std::uint8_t*>(this + 1);
     }
-    std::memcpy(block->bytes(), bytes, n);
-    block_ = block;
-    alloc_count().fetch_add(1, std::memory_order_relaxed);
+    [[nodiscard]] std::uint8_t* bytes() noexcept {
+      return reinterpret_cast<std::uint8_t*>(this + 1);
+    }
+  };
+  static_assert(sizeof(Block) == 8);
+
+  struct Counts {
+    std::atomic<std::uint64_t> created{0};
+    std::atomic<std::uint64_t> live{0};
+  };
+
+  void adopt(const std::uint8_t* bytes, std::size_t n) {
+    void* raw = ::operator new(sizeof(Block) + n);
+    block_ = ::new (raw) Block{{1}, static_cast<std::uint32_t>(n)};
+    std::memcpy(block_->bytes(), bytes, n);
+    counts().created.fetch_add(1, std::memory_order_relaxed);
+    counts().live.fetch_add(1, std::memory_order_relaxed);
   }
 
   void retain() const noexcept {
-    if (block_) {
-      block_->owner->refs.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (block_) block_->refs.fetch_add(1, std::memory_order_relaxed);
   }
   void release() noexcept {
     if (block_ == nullptr) return;
-    detail::PayloadOwner* owner = block_->owner;
-    if (owner->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      ::operator delete(owner);
+    if (block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      counts().live.fetch_sub(1, std::memory_order_relaxed);
+      ::operator delete(block_);
     }
     block_ = nullptr;
   }
 
-  static std::atomic<std::uint64_t>& alloc_count() noexcept {
-    static std::atomic<std::uint64_t> count{0};
-    return count;
+  static Counts& counts() noexcept {
+    static Counts counts;
+    return counts;
   }
 
-  const detail::PayloadBlock* block_ = nullptr;
+  Block* block_ = nullptr;
 };
 
 }  // namespace ldke::net

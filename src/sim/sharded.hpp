@@ -28,8 +28,7 @@
 /// deals in lanes, clocks and EventFns.  The net layer decides which
 /// lane a receiver lives in and calls schedule_cross(); the embedder
 /// (ProtocolRunner) supplies a LaneEnv hook that installs per-lane
-/// thread context (payload arena, crypto counter sink) around window
-/// execution.
+/// thread context (its crypto counter sink) around window execution.
 
 #include <atomic>
 #include <cstddef>
@@ -97,11 +96,11 @@ class ShardedKernel {
 
   /// Binds the calling thread to \p lane for the scope's lifetime, so
   /// serial phase drivers (start_all, recluster scheduling) route each
-  /// node's events into its home lane.
+  /// node's events into its home lane.  Needs no kernel: on a serial
+  /// run every node's lane is 0, the thread's lane already.
   class LaneScope {
    public:
-    LaneScope(const ShardedKernel&, std::uint32_t lane) noexcept
-        : prev_(t_lane_) {
+    explicit LaneScope(std::uint32_t lane) noexcept : prev_(t_lane_) {
       t_lane_ = lane;
     }
     ~LaneScope() { t_lane_ = prev_; }
@@ -130,8 +129,8 @@ class ShardedKernel {
   // ---- run loop --------------------------------------------------------
 
   /// Wraps per-lane window execution on the worker thread — the embedder
-  /// installs lane-local context (payload arena scope, crypto counter
-  /// sink) and invokes body().
+  /// installs lane-local context (the crypto counter sink) and invokes
+  /// body().
   using LaneEnv =
       std::function<void(std::uint32_t lane, const std::function<void()>& body)>;
   void set_lane_env(LaneEnv env) { lane_env_ = std::move(env); }
@@ -194,8 +193,9 @@ class ShardedKernel {
   std::atomic<bool> stop_requested_{false};
   std::vector<Halo> merge_scratch_;
 
-  // Inline and constinit, like PayloadArena::current_: no TLS init
-  // wrapper for UBSan to flag as a store through a null pointer.
+  // Inline and constinit: every TU touches the variable directly, with
+  // no TLS init wrapper for UBSan to flag as a store through a null
+  // pointer.
   static constinit inline thread_local std::uint32_t t_lane_ = 0;
   static constinit inline thread_local bool t_in_window_ = false;
 };

@@ -52,7 +52,6 @@ DataPlaneConfig engine_config() {
   cfg.refresh_interval_s = 0.9;
   cfg.evict_interval_s = 1.3;
   cfg.evict_batch = 1;
-  cfg.arena_generation_ticks = 8;
   return cfg;
 }
 
@@ -96,7 +95,6 @@ void expect_recorded_stats(const DataPlaneStats& stats) {
   EXPECT_EQ(stats.originated, 945u);
   EXPECT_EQ(stats.refresh_rounds, 2u);
   EXPECT_EQ(stats.clusters_evicted, 1u);
-  EXPECT_EQ(stats.arena_generations, 5u);
   EXPECT_EQ(stats.sim_elapsed_s, 2.0);
 }
 
@@ -358,28 +356,26 @@ TEST(DataPlane, SteadyStateSpanLandsOnTheTimeline) {
   EXPECT_TRUE(found);
 }
 
-TEST(DataPlane, LongBurnArenaStaysBounded) {
+TEST(DataPlane, LongBurnPayloadsStayBounded) {
+  const std::uint64_t base = net::PayloadRef::buffers_live();
   auto runner = after_routing(small_config(5, 120));
   DataPlaneConfig cfg;
   cfg.duration_s = 1.0;
-  cfg.tick_interval_s = 0.02;
-  cfg.readings_per_tick = 16;
-  cfg.arena_generation_ticks = 4;
+  cfg.tick_interval_s = 0.05;
+  cfg.readings_per_tick = 2;  // 40/s: below the radio's capacity here
   DataPlaneEngine warmup{*runner, cfg};
-  warmup.run();
-  const std::size_t chunks_after_warmup = runner->payload_arena().chunk_count();
-  const std::uint64_t gen_after_warmup = runner->payload_arena().generation();
-  ASSERT_GT(gen_after_warmup, 0u);
-  ASSERT_GT(chunks_after_warmup, 0u);
+  ASSERT_GT(warmup.run().originated, 0u);
+  const std::uint64_t live_after_warmup = net::PayloadRef::buffers_live() - base;
+  ASSERT_GT(live_after_warmup, 0u);
 
   cfg.duration_s = 3.0;  // 3x the traffic of the warmup window
   DataPlaneEngine burn{*runner, cfg};
-  burn.run();
-  EXPECT_GT(runner->payload_arena().generation(), gen_after_warmup);
-  // Generation reclamation keeps the chunk population at the in-flight
-  // working set: 3x the traffic must not come close to 3x the chunks.
-  EXPECT_LE(runner->payload_arena().chunk_count(),
-            chunks_after_warmup + chunks_after_warmup / 2 + 4);
+  ASSERT_GT(burn.run().originated, 0u);
+  // Each block is freed at its frame's last delivery, so live payloads
+  // are the frames in flight: 3x the traffic must not come close to 3x
+  // the blocks.
+  EXPECT_LE(net::PayloadRef::buffers_live() - base,
+            live_after_warmup + live_after_warmup / 2 + 4);
 }
 
 TEST(DataPlane, RejectsTheShardedKernel) {

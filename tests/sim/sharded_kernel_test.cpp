@@ -40,7 +40,7 @@ TEST(ShardedKernel, SingleLaneRunsEventsInTimeOrder) {
   ShardedKernel kernel{1, ms(1), pool};
   std::vector<int> order;
   {
-    ShardedKernel::LaneScope scope{kernel, 0};
+    ShardedKernel::LaneScope scope{0};
     kernel.schedule(ms(30), [&] { order.push_back(3); });
     kernel.schedule(ms(10), [&] { order.push_back(1); });
     kernel.schedule(ms(20), [&] { order.push_back(2); });
@@ -56,7 +56,7 @@ TEST(ShardedKernel, RunUntilIsInclusiveLikeTheSerialLoop) {
   ShardedKernel kernel{2, ms(1), pool};
   int ran = 0;
   {
-    ShardedKernel::LaneScope scope{kernel, 0};
+    ShardedKernel::LaneScope scope{0};
     kernel.schedule(ms(5), [&] { ++ran; });
     kernel.schedule(ms(10), [&] { ++ran; });  // exactly at `until`
     kernel.schedule(ms(15), [&] { ++ran; });  // beyond
@@ -65,7 +65,7 @@ TEST(ShardedKernel, RunUntilIsInclusiveLikeTheSerialLoop) {
   EXPECT_EQ(ran, 2);
   // The clock advanced to `until` on every lane, including idle lane 1.
   {
-    ShardedKernel::LaneScope scope{kernel, 1};
+    ShardedKernel::LaneScope scope{1};
     EXPECT_EQ(kernel.now(), ms(10));
   }
   EXPECT_EQ(kernel.pending(), 1u);
@@ -76,7 +76,7 @@ TEST(ShardedKernel, LaneScopeRoutesSchedulingAndBindsClock) {
   ShardedKernel kernel{2, ms(1), pool};
   Log log;
   {
-    ShardedKernel::LaneScope scope{kernel, 1};
+    ShardedKernel::LaneScope scope{1};
     kernel.schedule(ms(2), [&] {
       log.note("lane" + std::to_string(ShardedKernel::current_lane()));
     });
@@ -94,7 +94,7 @@ TEST(ShardedKernel, CancelIsLaneLocal) {
   int ran = 0;
   EventId id{};
   {
-    ShardedKernel::LaneScope scope{kernel, 1};
+    ShardedKernel::LaneScope scope{1};
     id = kernel.schedule(ms(2), [&] { ++ran; });
     kernel.schedule(ms(3), [&] { ++ran; });
     EXPECT_TRUE(kernel.cancel(id));
@@ -113,7 +113,7 @@ TEST(ShardedKernel, HalosMergeInCanonicalOrder) {
   Log log;
   const SimTime when = ms(5);
   for (std::uint32_t src = 1; src < 4; ++src) {
-    ShardedKernel::LaneScope scope{kernel, src};
+    ShardedKernel::LaneScope scope{src};
     // Kick-off events make the source lanes emit from *inside* a
     // window, exercising the outbox path concurrently.
     kernel.schedule(ms(1), [&kernel, &log, src, when] {
@@ -149,7 +149,7 @@ TEST(ShardedKernel, CrossLanePingPongRespectsLookahead) {
         });
       };
   {
-    ShardedKernel::LaneScope scope{kernel, 0};
+    ShardedKernel::LaneScope scope{0};
     bounce(1, 4);
   }
   kernel.run(SimTime::max());
@@ -168,7 +168,7 @@ TEST(ShardedKernel, RepeatRunsAreIdentical) {
     ShardedKernel kernel{4, ms(1), pool};
     Log log;
     for (std::uint32_t lane = 0; lane < 4; ++lane) {
-      ShardedKernel::LaneScope scope{kernel, lane};
+      ShardedKernel::LaneScope scope{lane};
       for (int i = 0; i < 8; ++i) {
         kernel.schedule(ms(1 + i), [&log, lane, i] {
           log.note(std::to_string(lane) + ":" + std::to_string(i));
@@ -193,7 +193,7 @@ TEST(ShardedKernel, StopRequestEndsRunAtWindowBarrier) {
   ShardedKernel kernel{2, ms(1), pool};
   int ran = 0;
   {
-    ShardedKernel::LaneScope scope{kernel, 0};
+    ShardedKernel::LaneScope scope{0};
     kernel.schedule(ms(1), [&] {
       ++ran;
       kernel.request_stop();
@@ -214,7 +214,7 @@ TEST(SimulatorSharding, EnableShardingRoutesThroughKernel) {
 
   std::vector<int> order;
   {
-    ShardedKernel::LaneScope scope{*sim.kernel(), 1};
+    ShardedKernel::LaneScope scope{1};
     sim.schedule_in(ms(3), [&] { order.push_back(2); });
     sim.schedule_in(ms(1), [&] { order.push_back(1); });
   }

@@ -397,8 +397,6 @@ int cmd_steady(const CliOptions& opt) {
   table.add_row({"latency p99 (ms)",
                  support::fmt(dt.latency_percentile_s(0.99) * 1e3, 3)});
   table.add_row({"refresh rounds", std::to_string(stats.refresh_rounds)});
-  table.add_row({"arena generations",
-                 std::to_string(stats.arena_generations)});
   std::cout << (opt.csv ? table.to_csv() : table.render());
   return emit_artifacts(runner, opt, recorders, "ldke_sim steady");
 }
