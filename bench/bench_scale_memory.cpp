@@ -4,8 +4,9 @@
 /// records peak RSS plus construction/setup wall time per node into
 /// results/BENCH_scale.json (obs JSON, same document conventions as the
 /// RunSummary artifacts).  The paper stops at 3600 nodes; this bench is
-/// the evidence that the flat-container/arena node state holds its
-/// per-node budget out to 100k.
+/// the evidence that the flat-container node state, with each payload
+/// freed at its frame's last delivery, holds its per-node budget out
+/// to 1M (the default sizes end there).
 ///
 /// Env knobs: LDKE_BENCH_SCALE_SIZES ("2000,20000"), LDKE_BENCH_SCALE
 /// _DENSITY, LDKE_BENCH_SCALE_OUT (output path; "" disables the JSON),

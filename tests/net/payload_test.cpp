@@ -103,8 +103,8 @@ TEST(PayloadRef, ConcurrentReleaseFreesOnce) {
       for (int round = 0; round < kRounds; ++round) {
         for (int i = 0; i < kBlocks; ++i) {
           const PayloadRef copy = mine[i];
-          PayloadRef moved = copy;
-          EXPECT_EQ(moved[0], static_cast<std::uint8_t>(i));
+          const PayloadRef again = copy;
+          EXPECT_EQ(again[0], static_cast<std::uint8_t>(i));
         }
       }
       // Drop this thread's refs in a thread-dependent order.

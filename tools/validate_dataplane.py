@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 NUMBER = (int, float)
 
 TOP_FIELDS = {
@@ -48,7 +48,6 @@ ENGINE_FIELDS = {
     "seals": int,
     "opens": int,
     "refresh_rounds": int,
-    "arena_generations": int,
     "peak_rss_kb": int,
 }
 
