@@ -4,75 +4,61 @@
 /// DeliveryTracker p50/p95/p99, crypto totals and peak RSS
 /// (getrusage(RUSAGE_SELF)).  Each payload block is freed at its last
 /// delivery, so peak RSS over two window lengths shows what does grow
-/// with the window: DeliveryTracker's per-source queues of undelivered
-/// originations and its latency samples.  At 600 nodes that reads
-/// 5.5 MB for a 5 s window and 6.0 MB for a 70 s one.
+/// with the window: DeliveryTracker's map of undelivered originations
+/// and its latency samples.  At 600 nodes that reads 5.1 MB for a 5 s
+/// window and 5.5 MB for a 70 s one.  The window evicts
+/// a cluster twice whatever its length (every duration / 2 s), so a long
+/// burn measures the same network as a short one, not an ever more
+/// evicted one.
 ///
 /// Results land in results/BENCH_dataplane.json.  Env knobs:
-/// LDKE_BENCH_DATAPLANE_NODES, _DENSITY, _DURATION (engine window s),
-/// _OUT (output path, "" disables), _MIN_PPS (originations/s floor over
-/// the engine's wall time; 0 = no gate).
+/// LDKE_BENCH_DATAPLANE_NODES, LDKE_BENCH_DATAPLANE_DURATION (engine
+/// window, s), LDKE_BENCH_DATAPLANE_MIN_PPS (originations/s floor over
+/// the engine's wall time; unset = no gate), LDKE_BENCH_OUT.
 
 #include <sys/resource.h>
 
-#include <chrono>
-#include <fstream>
-
 #include "bench_common.hpp"
 #include "core/dataplane.hpp"
-#include "crypto/cpu_features.hpp"
 #include "support/table.hpp"
 
 namespace {
 
 using namespace ldke;
 
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return fallback;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+constexpr double kDensity = 12.0;
 
 }  // namespace
 
 int main() {
-  const auto nodes = static_cast<std::size_t>(
-      env_double("LDKE_BENCH_DATAPLANE_NODES", 600));
-  const double density = env_double("LDKE_BENCH_DATAPLANE_DENSITY", 12.0);
-  const double duration = env_double("LDKE_BENCH_DATAPLANE_DURATION", 5.0);
-  const double min_pps = env_double("LDKE_BENCH_DATAPLANE_MIN_PPS", 0.0);
-  const std::uint64_t seed = bench::base_config().seed;
-  const bool hw = crypto::detail::cpu_has_aesni() &&
-                  crypto::detail::cpu_has_sha_ni();
+  const std::size_t nodes =
+      bench::env_count("LDKE_BENCH_DATAPLANE_NODES", 600);
+  const double duration =
+      bench::env_number("LDKE_BENCH_DATAPLANE_DURATION", 5.0);
+  const double min_pps =
+      bench::env_number("LDKE_BENCH_DATAPLANE_MIN_PPS", 0.0);
+  obs::JsonValue doc = bench::artifact("dataplane", 4);
 
-  std::cout << "Data-plane bench: " << nodes << " nodes, density " << density
-            << ", " << duration << " s steady state (AES-NI+SHA-NI: "
-            << (hw ? "yes" : "no") << ")\n\n";
+  std::cout << "Data-plane bench: " << nodes << " nodes, density " << kDensity
+            << ", " << duration << " s steady state\n\n";
 
   core::RunnerConfig cfg = bench::base_config();
   cfg.node_count = nodes;
-  cfg.density = density;
+  cfg.density = kDensity;
   core::ProtocolRunner runner{cfg};
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   runner.run_key_setup();
   runner.run_routing_setup();
-  const double setup_s = seconds_since(t0);
+  const double setup_s = bench::seconds_since(t0);
 
   core::DataPlaneConfig dp;
   dp.duration_s = duration;
   dp.refresh_interval_s = 1.0;
-  dp.evict_interval_s = 2.5;
+  dp.evict_interval_s = duration / 2.0;
   core::DataPlaneEngine engine{runner, dp};
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto t1 = bench::Clock::now();
   const core::DataPlaneStats stats = engine.run();
-  const double engine_s = seconds_since(t1);
+  const double engine_s = bench::seconds_since(t1);
 
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
@@ -112,28 +98,11 @@ int main() {
   point.set("refresh_rounds", stats.refresh_rounds);
   point.set("peak_rss_kb", static_cast<std::int64_t>(peak_rss_kb));
 
-  obs::JsonValue doc;
-  doc.set("schema_version", 3);
-  doc.set("bench", "dataplane");
   doc.set("nodes", static_cast<std::uint64_t>(nodes));
-  doc.set("density", density);
+  doc.set("density", kDensity);
   doc.set("duration_s", duration);
-  doc.set("seed", seed);
-  doc.set("aesni_shani", hw);
   doc.set("engine", std::move(point));
-
-  const char* out_env = std::getenv("LDKE_BENCH_DATAPLANE_OUT");
-  const std::string out_path =
-      out_env != nullptr ? out_env : "results/BENCH_dataplane.json";
-  if (!out_path.empty()) {
-    std::ofstream os(out_path);
-    if (!os) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 1;
-    }
-    os << doc.dump() << "\n";
-    std::cout << "wrote " << out_path << "\n";
-  }
+  if (!bench::write_artifact(doc)) return 1;
 
   if (min_pps > 0.0 && pps < min_pps) {
     std::cerr << "FAIL: " << support::fmt(pps, 0)

@@ -102,9 +102,11 @@ BENCHMARK(BM_CryptoCounterBump);
 void BM_DeliveryTrackerPair(benchmark::State& state) {
   obs::DeliveryTracker tracker;
   std::int64_t now = 0;
+  std::uint64_t seq = 0;
   for (auto _ : state) {
-    tracker.on_originate(7, now);
-    tracker.on_deliver(7, now + 1000);
+    ++seq;
+    tracker.on_originate(7, seq, now);
+    tracker.on_deliver(7, seq, now + 1000);
     now += 2000;
     if (tracker.delivered() >= 1u << 16) tracker.clear();
   }

@@ -12,7 +12,8 @@
 ///     update_positions rebuild under identical waypoint displacement
 ///     streams, with an element-identity check between the two paths,
 ///     plus one mobile-churn engine run for end-to-end wall time.  The
-///     sweep field is a mobile minority over static sensors
+///     sweep deploys like every scenario (random_uniform's Hilbert ids)
+///     and moves a mobile minority over static sensors
 ///     (LDKE_BENCH_SCENARIO_MOBILE_FRACTION, default 0.1) — the regime
 ///     the locality argument targets: incremental cost must track the
 ///     movers, a full rebuild pays for every node regardless.
@@ -24,23 +25,17 @@
 ///     trace digest,
 ///   - sweep identity: incremental and full-rebuild topologies must be
 ///     element-identical after every timed sweep, and
-///   - sweep speedup: at >= LDKE_BENCH_SCENARIO_GATE_NODES (default
-///     50000) nodes the per-epoch speedup must clear
-///     LDKE_BENCH_SCENARIO_MIN_SPEEDUP (default 5).
+///   - sweep speedup: at >= kGateNodes (50,000) nodes the per-epoch
+///     speedup must clear kMinSpeedup (5x).
 ///
 /// Results land in results/BENCH_scenarios.json.  Env knobs:
 /// LDKE_BENCH_SCENARIO_NODES (default 1000), LDKE_BENCH_SCENARIO_REPS
 /// (default 3), LDKE_BENCH_SCENARIO_SCALE (comma-separated sizes,
 /// default "10000,50000,100000", "" disables the sweep),
 /// LDKE_BENCH_SCENARIO_SCALE_ENGINE (default 1; 0 skips the per-size
-/// engine runs), LDKE_BENCH_SCENARIO_OUT (output path, "" disables).
+/// engine runs), LDKE_BENCH_SCENARIO_MOBILE_FRACTION, LDKE_BENCH_OUT.
 
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,9 +43,8 @@
 #include "baselines/global_key.hpp"
 #include "baselines/ldke_adapter.hpp"
 #include "baselines/random_predist.hpp"
-#include "core/runner.hpp"
+#include "bench_common.hpp"
 #include "net/topology.hpp"
-#include "obs/json.hpp"
 #include "scenario/baseline_replay.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/mobility.hpp"
@@ -61,48 +55,14 @@ namespace {
 
 using namespace ldke;
 
-constexpr std::uint64_t kSeed = 0x5eed;
+using bench::seconds_since;
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
+const std::uint64_t kSeed = bench::base_config().seed;
 
-bool env_flag(const char* name, bool fallback) {
-  if (const char* env = std::getenv(name)) {
-    return std::strtol(env, nullptr, 10) != 0;
-  }
-  return fallback;
-}
-
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0.0) return v;
-  }
-  return fallback;
-}
-
-std::vector<std::size_t> env_scale_sizes() {
-  const char* env = std::getenv("LDKE_BENCH_SCENARIO_SCALE");
-  const std::string raw = env != nullptr ? env : "10000,50000,100000";
-  std::vector<std::size_t> sizes;
-  std::stringstream ss(raw);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    const long v = std::strtol(tok.c_str(), nullptr, 10);
-    if (v > 1) sizes.push_back(static_cast<std::size_t>(v));
-  }
-  return sizes;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+/// The sweep's speedup gate: incremental maintenance must beat a full
+/// rebuild by kMinSpeedup at kGateNodes nodes and above.
+constexpr double kMinSpeedup = 5.0;
+constexpr std::size_t kGateNodes = 50000;
 
 /// The deployment area scales with the node count so density (and with
 /// it cluster structure) stays comparable across LDKE_BENCH_SCENARIO_NODES.
@@ -130,14 +90,19 @@ scenario::MotionConfig sweep_motion() {
   return mc;
 }
 
+scenario::PhaseSpec phase(std::string name, double duration_s) {
+  scenario::PhaseSpec p;
+  p.name = std::move(name);
+  p.duration_s = duration_s;
+  return p;
+}
+
 scenario::ScenarioSpec mobility_spec(std::size_t nodes) {
   scenario::ScenarioSpec spec = base_spec(nodes, "mobility");
   spec.motion = sweep_motion();
-  scenario::PhaseSpec still{.name = "still", .duration_s = 1.0};
-  scenario::PhaseSpec moving{.name = "moving", .duration_s = 2.0};
+  scenario::PhaseSpec moving = phase("moving", 2.0);
   moving.mobility = true;
-  scenario::PhaseSpec settled{.name = "settled", .duration_s = 1.0};
-  spec.phases = {still, moving, settled};
+  spec.phases = {phase("still", 1.0), moving, phase("settled", 1.0)};
   return spec;
 }
 
@@ -145,25 +110,21 @@ scenario::ScenarioSpec churn_duty_spec(std::size_t nodes) {
   scenario::ScenarioSpec spec = base_spec(nodes, "churn_duty");
   spec.churn = {3.0, 2.0, 3.0};
   spec.duty = {1.0, 0.7};
-  scenario::PhaseSpec baseline{.name = "baseline", .duration_s = 1.0};
-  scenario::PhaseSpec stress{.name = "stress", .duration_s = 2.0};
+  scenario::PhaseSpec stress = phase("stress", 2.0);
   stress.churn = true;
   stress.duty = true;
   stress.recluster_after = true;
-  scenario::PhaseSpec recovered{.name = "recovered", .duration_s = 1.0};
-  spec.phases = {baseline, stress, recovered};
+  spec.phases = {phase("baseline", 1.0), stress, phase("recovered", 1.0)};
   return spec;
 }
 
 scenario::ScenarioSpec partition_spec(std::size_t nodes) {
   scenario::ScenarioSpec spec = base_spec(nodes, "partition");
-  scenario::PhaseSpec baseline{.name = "baseline", .duration_s = 1.0};
-  scenario::PhaseSpec walled{.name = "walled", .duration_s = 2.0};
+  scenario::PhaseSpec walled = phase("walled", 2.0);
   walled.events.push_back(
       {scenario::ScriptedEvent::Kind::kPartition, 0.25, spec.side_m / 2});
   walled.events.push_back({scenario::ScriptedEvent::Kind::kHeal, 1.5, 0.0});
-  scenario::PhaseSpec healed{.name = "healed", .duration_s = 1.0};
-  spec.phases = {baseline, walled, healed};
+  spec.phases = {phase("baseline", 1.0), walled, phase("healed", 1.0)};
   return spec;
 }
 
@@ -176,7 +137,7 @@ scenario::ScenarioSpec mobile_churn_spec(std::size_t nodes) {
   spec.churn = {4.0, 2.0, 4.0};
   spec.data.tick_interval_s = 0.1;
   spec.data.readings_per_tick = 4;
-  scenario::PhaseSpec storm{.name = "storm", .duration_s = 1.0};
+  scenario::PhaseSpec storm = phase("storm", 1.0);
   storm.mobility = true;
   storm.churn = true;
   spec.phases = {storm};
@@ -210,9 +171,11 @@ struct SweepPoint {
 
 /// Identical waypoint displacement streams (same seed) drive one
 /// incrementally-patched topology and one rebuilt from scratch; only
-/// the topology-maintenance call is inside the clock.  Nodes outside
-/// the mobile minority are frozen where they were deployed, which the
-/// two fields do identically so their RNG streams stay in lockstep.
+/// the topology-maintenance call is inside the clock.  Both deploy as
+/// every scenario does, with random_uniform's Hilbert ids.  The mobile
+/// minority is every stride-th draw, picked through deployment_order();
+/// the rest are frozen where they were deployed, which the two fields do
+/// identically so their RNG streams stay in lockstep.
 SweepPoint sweep_topology(std::size_t nodes, std::size_t reps,
                           double mobile_fraction) {
   constexpr std::size_t kWarmupEpochs = 2;
@@ -225,15 +188,12 @@ SweepPoint sweep_topology(std::size_t nodes, std::size_t reps,
   pt.range_m =
       pt.side_m * std::sqrt(10.0 / (M_PI * static_cast<double>(nodes)));
 
-  support::Xoshiro256 rng{kSeed};
-  std::vector<net::Vec2> positions;
-  positions.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    positions.push_back(
-        {rng.uniform(0.0, pt.side_m), rng.uniform(0.0, pt.side_m)});
-  }
-  net::Topology incr = net::Topology::from_positions(positions, pt.range_m);
-  net::Topology full = net::Topology::from_positions(positions, pt.range_m);
+  support::Xoshiro256 rng_i{kSeed};
+  support::Xoshiro256 rng_f{kSeed};
+  net::Topology incr =
+      net::Topology::random_uniform(nodes, pt.side_m, pt.range_m, rng_i);
+  net::Topology full =
+      net::Topology::random_uniform(nodes, pt.side_m, pt.range_m, rng_f);
   const scenario::MotionConfig mc = sweep_motion();
   scenario::MobilityField field_i{mc, incr.side(), incr.positions(), kSeed};
   scenario::MobilityField field_f{mc, full.side(), full.positions(), kSeed};
@@ -241,10 +201,11 @@ SweepPoint sweep_topology(std::size_t nodes, std::size_t reps,
       mobile_fraction > 0.0 && mobile_fraction < 1.0
           ? std::llround(1.0 / mobile_fraction)
           : 1);
-  for (net::NodeId id = 0; id < nodes; ++id) {
-    if (stride > 1 && id % stride != 1) {
-      field_i.freeze(id);
-      field_f.freeze(id);
+  const std::span<const net::NodeId> order = incr.deployment_order();
+  for (std::size_t draw = 0; draw < nodes; ++draw) {
+    if (stride > 1 && draw % stride != 1) {
+      field_i.freeze(order[draw]);
+      field_f.freeze(order[draw]);
     }
   }
 
@@ -270,12 +231,12 @@ SweepPoint sweep_topology(std::size_t nodes, std::size_t reps,
     for (std::size_t e = 0; e < kEpochsPerRep; ++e) {
       field_i.advance(mc.epoch_s);
       const scenario::MobilityField::Displacements d = field_i.displacements();
-      auto t0 = std::chrono::steady_clock::now();
+      auto t0 = bench::Clock::now();
       incr.apply_displacements(d.ids, d.positions);
       incr_acc += seconds_since(t0);
 
       field_f.advance(mc.epoch_s);
-      t0 = std::chrono::steady_clock::now();
+      t0 = bench::Clock::now();
       full.update_positions(field_f.positions());
       full_acc += seconds_since(t0);
     }
@@ -332,16 +293,15 @@ obs::JsonValue sweep_json(const SweepPoint& pt) {
 }  // namespace
 
 int main() {
-  const std::size_t nodes = env_size("LDKE_BENCH_SCENARIO_NODES", 1000);
-  const std::size_t reps = env_size("LDKE_BENCH_SCENARIO_REPS", 3);
-  const std::vector<std::size_t> scale_sizes = env_scale_sizes();
-  const bool scale_engine = env_flag("LDKE_BENCH_SCENARIO_SCALE_ENGINE", true);
-  const double min_speedup =
-      env_double("LDKE_BENCH_SCENARIO_MIN_SPEEDUP", 5.0);
+  const std::size_t nodes =
+      bench::env_count("LDKE_BENCH_SCENARIO_NODES", 1000);
+  const std::size_t reps = bench::env_count("LDKE_BENCH_SCENARIO_REPS", 3);
+  const std::vector<std::size_t> scale_sizes =
+      bench::env_list("LDKE_BENCH_SCENARIO_SCALE", {10000, 50000, 100000});
+  const bool scale_engine =
+      bench::env_count("LDKE_BENCH_SCENARIO_SCALE_ENGINE", 1, 0) != 0;
   const double mobile_fraction =
-      env_double("LDKE_BENCH_SCENARIO_MOBILE_FRACTION", 0.1);
-  const auto gate_nodes = static_cast<std::size_t>(
-      env_double("LDKE_BENCH_SCENARIO_GATE_NODES", 50000.0));
+      bench::env_number("LDKE_BENCH_SCENARIO_MOBILE_FRACTION", 0.1);
   std::cout << "Scenario bench: " << nodes << " nodes, seed " << kSeed
             << ", best of " << reps << " reps\n\n";
 
@@ -361,7 +321,7 @@ int main() {
     double best_wall = 1e30;
     bool deterministic = true;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const auto t0 = bench::Clock::now();
       const scenario::ScenarioStats timed = run_engine(spec);
       best_wall = std::min(best_wall, seconds_since(t0));
       deterministic =
@@ -431,12 +391,12 @@ int main() {
     for (const std::size_t n : scale_sizes) {
       SweepPoint pt = sweep_topology(n, reps, mobile_fraction);
       if (scale_engine) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const auto t0 = bench::Clock::now();
         run_engine(mobile_churn_spec(n));
         pt.engine_wall_s = seconds_since(t0);
       }
       sweep_identical = sweep_identical && pt.identical;
-      if (n >= gate_nodes && pt.speedup() < min_speedup) {
+      if (n >= kGateNodes && pt.speedup() < kMinSpeedup) {
         sweep_fast_enough = false;
       }
       sweep_table.add_row(
@@ -450,40 +410,26 @@ int main() {
     sweep_table.print(std::cout);
     std::cout << "\nsweep topologies element-identical: "
               << (sweep_identical ? "yes" : "NO")
-              << "\nsweep speedup >= " << support::fmt(min_speedup, 1)
-              << "x at >= " << gate_nodes
+              << "\nsweep speedup >= " << support::fmt(kMinSpeedup, 1)
+              << "x at >= " << kGateNodes
               << " nodes: " << (sweep_fast_enough ? "yes" : "NO") << "\n";
   }
 
-  obs::JsonValue doc;
-  doc.set("schema_version", 2);
-  doc.set("bench", "scenarios");
+  obs::JsonValue doc = bench::artifact("scenarios", 3);
   doc.set("nodes", static_cast<std::uint64_t>(nodes));
-  doc.set("seed", kSeed);
   doc.set("reps", static_cast<std::uint64_t>(reps));
   doc.set("deterministic", all_deterministic);
   doc.set("digests_match", all_digests_match);
   doc.set("scenarios", std::move(scenarios));
   if (!scale_sizes.empty()) {
     doc.set("sweep_identical", sweep_identical);
-    doc.set("sweep_min_speedup", min_speedup);
-    doc.set("sweep_gate_nodes", static_cast<std::uint64_t>(gate_nodes));
+    doc.set("sweep_min_speedup", kMinSpeedup);
+    doc.set("sweep_gate_nodes", static_cast<std::uint64_t>(kGateNodes));
     doc.set("sweep_mobile_fraction", mobile_fraction);
     doc.set("scale_sweep", std::move(sweep));
   }
 
-  const char* out_env = std::getenv("LDKE_BENCH_SCENARIO_OUT");
-  const std::string out_path =
-      out_env != nullptr ? out_env : "results/BENCH_scenarios.json";
-  if (!out_path.empty()) {
-    std::ofstream os(out_path);
-    if (!os) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 1;
-    }
-    os << doc.dump() << "\n";
-    std::cout << "wrote " << out_path << "\n";
-  }
+  if (!bench::write_artifact(doc)) return 1;
   return (all_deterministic && all_digests_match && sweep_identical &&
           sweep_fast_enough)
              ? 0

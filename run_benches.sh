@@ -2,7 +2,8 @@
 # Runs every bench at full fidelity from a dedicated *Release* build tree
 # and records the outputs into results/.  Honors LDKE_BENCH_TRIALS /
 # LDKE_BENCH_NODES for quick runs and LDKE_BENCH_BUILD_DIR to relocate
-# the build tree (default: build-bench/).
+# the build tree (default: build-bench/).  LDKE_BENCH_OUT is unset, so
+# every JSON bench writes its own results/BENCH_<name>.json.
 #
 # Numbers are only worth recording from an optimized build, so this
 # script configures its own -DCMAKE_BUILD_TYPE=Release tree (the default
@@ -23,6 +24,7 @@ set -u
 cd "$(dirname "$0")" || exit 1
 
 BUILD_DIR=${LDKE_BENCH_BUILD_DIR:-build-bench}
+unset LDKE_BENCH_OUT
 
 cmake -S . -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release > /dev/null || exit 1
 cmake --build "$BUILD_DIR" -j"$(nproc)" || exit 1
@@ -61,74 +63,38 @@ for b in "$BUILD_DIR"/bench/bench_*; do
   [ $rc -ne 0 ] && status=1
 done
 
-# Diff the fresh data-plane bench against the committed baseline (the
-# results/BENCH_dataplane.json the bench just overwrote).
-if [ -f results/BENCH_dataplane.json ] &&
-   git cat-file -e HEAD:results/BENCH_dataplane.json 2>/dev/null; then
-  echo "=== diff BENCH_dataplane.json (committed -> fresh) ==="
-  git show HEAD:results/BENCH_dataplane.json > results/.dataplane_baseline.json
-  python3 - results/.dataplane_baseline.json results/BENCH_dataplane.json <<'PYEOF'
-import json, sys
+# Diff every fresh JSON artifact that carries the bench envelope
+# (schema_version, bench, host) against its committed version: numeric
+# leaves, objects by key and arrays by position.  Each leaf that moved is
+# printed, and one that moved more than 25 % is flagged.
+python3 - <<'PYEOF'
+import glob, json, subprocess
 
-before = json.load(open(sys.argv[1]))
-after = json.load(open(sys.argv[2]))
-
-def walk(path, b, a):
+def walk(path, b, a, out):
     if isinstance(b, dict) and isinstance(a, dict):
         for k in b:
             if k in a:
-                walk(path + [k], b[k], a[k])
-        return
-    if isinstance(b, (int, float)) and not isinstance(b, bool) and b != 0:
-        name = ".".join(path)
-        delta = (a - b) / b * 100.0
+                walk(f"{path}.{k}", b[k], a[k], out)
+    elif isinstance(b, list) and isinstance(a, list):
+        for i, (x, y) in enumerate(zip(b, a)):
+            walk(f"{path}[{i}]", x, y, out)
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool)
+             for v in (a, b)) and a != b:
+        delta = (a - b) / b * 100.0 if b != 0 else float("inf")
         flag = "  <-- drifted" if abs(delta) > 25.0 else ""
-        print(f"{name:45s} {b:14.1f} -> {a:14.1f}  ({delta:+.1f}%){flag}")
+        out.append(f"{path:60s} {b:12.4g} -> {a:12.4g}  ({delta:+.1f}%){flag}")
 
-if "engine" in before and "engine" in after:
-    walk(["engine"], before["engine"], after["engine"])
-PYEOF
-  rm -f results/.dataplane_baseline.json
-fi
-
-# Diff the fresh scenario bench against the committed baseline: per-point
-# mobile-scale sweep timings (the incremental-vs-full speedup is the
-# number this artifact exists to pin) plus per-scenario wall time.
-if [ -f results/BENCH_scenarios.json ] &&
-   git cat-file -e HEAD:results/BENCH_scenarios.json 2>/dev/null; then
-  echo "=== diff BENCH_scenarios.json (committed -> fresh) ==="
-  git show HEAD:results/BENCH_scenarios.json > results/.scenarios_baseline.json
-  python3 - results/.scenarios_baseline.json results/BENCH_scenarios.json <<'PYEOF'
-import json, sys
-
-before = json.load(open(sys.argv[1]))
-after = json.load(open(sys.argv[2]))
-
-def points(doc):
-    return {p["nodes"]: p for p in doc.get("scale_sweep", [])}
-
-def show(name, b, a, flag_drift=True):
-    if not isinstance(b, (int, float)) or isinstance(b, bool) or b == 0:
-        return
-    delta = (a - b) / b * 100.0
-    flag = "  <-- drifted" if flag_drift and abs(delta) > 25.0 else ""
-    print(f"{name:45s} {b:14.3f} -> {a:14.3f}  ({delta:+.1f}%){flag}")
-
-bp, ap = points(before), points(after)
-for nodes in sorted(bp):
-    if nodes not in ap:
+for fresh in sorted(glob.glob("results/BENCH_*.json")):
+    shown = subprocess.run(["git", "show", f"HEAD:{fresh}"],
+                           capture_output=True, text=True)
+    if shown.returncode != 0:
         continue
-    for field in ("incr_epoch_s", "full_epoch_s", "speedup", "engine_wall_s"):
-        if field in bp[nodes] and field in ap[nodes]:
-            show(f"scale_sweep[{nodes}].{field}",
-                 bp[nodes][field], ap[nodes][field])
-
-bs = {s["engine"]["name"]: s for s in before.get("scenarios", [])}
-for s in after.get("scenarios", []):
-    name = s["engine"]["name"]
-    if name in bs:
-        show(f"scenarios.{name}.wall_s", bs[name]["wall_s"], s["wall_s"])
+    before, after = json.loads(shown.stdout), json.load(open(fresh))
+    if not all(k in before for k in ("schema_version", "bench", "host")):
+        continue
+    moved = []
+    walk(before["bench"], before, after, moved)
+    print(f"=== diff {fresh} (committed -> fresh): {len(moved)} leaves moved ===",
+          *moved, sep="\n")
 PYEOF
-  rm -f results/.scenarios_baseline.json
-fi
 exit $status

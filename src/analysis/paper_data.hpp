@@ -46,11 +46,11 @@ inline constexpr std::array<double, 9> kPaperFig1Density20 = {
 inline constexpr std::array<std::size_t, 5> kPaperScaleSizes = {
     2000, 8000, 20000, 50000, 100000};
 
-/// Memory/scale sweep for bench_scale_memory: three orders of magnitude
-/// past the paper's largest deployment.  The 1M point is the sharded
-/// kernel's headline target (single-digit-seconds setup on all cores);
-/// kept separate from kPaperScaleSizes so the trial-level sweeps keep
-/// their runtime budget.
+/// The size axis of bench_setup_scale's sizes × lanes grid: three orders
+/// of magnitude past the paper's largest deployment.  The 1M point is the
+/// sharded kernel's headline target (single-digit-seconds setup on all
+/// cores); kept separate from kPaperScaleSizes so the trial-level sweeps
+/// keep their runtime budget.
 inline constexpr std::array<std::size_t, 6> kScaleSweepSizes = {
     2000, 8000, 20000, 50000, 100000, 1000000};
 

@@ -8,8 +8,6 @@ void Eavesdropper::attach(net::Network& net) {
   net.channel().set_sniffer([this](const net::Packet& pkt) {
     ++packets_seen_;
     bytes_seen_ += pkt.size_bytes();
-    const auto kind_index = static_cast<std::size_t>(pkt.kind);
-    if (kind_index < kind_counts_.size()) ++kind_counts_[kind_index];
     // Data envelopes additionally expose their cleartext CID — the
     // input of the readable-fraction metric.  split_envelope only reads
     // views of the shared payload buffer; recording costs no copy.
@@ -33,7 +31,6 @@ std::uint64_t Eavesdropper::readable_data_packets(
 void Eavesdropper::reset() noexcept {
   packets_seen_ = 0;
   bytes_seen_ = 0;
-  kind_counts_.fill(0);
   data_headers_.clear();
 }
 

@@ -6,12 +6,9 @@
 /// the confidentiality counterpart of the link-fraction metric.
 ///
 /// The sniffer observes *all* PacketKinds — a real adversary does not
-/// get to see only data frames — and keeps a per-kind tally, so traffic
-/// analysis over the setup phase (HELLO/link-advert volume), the command
-/// channel, and the diffusion control plane is measurable from one
-/// recording.
+/// get to see only data frames — and counts every frame and byte; data
+/// envelopes additionally leave their cleartext cluster id.
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -33,19 +30,6 @@ class Eavesdropper {
     return bytes_seen_;
   }
 
-  /// Transmissions recorded for one specific link-layer kind.
-  [[nodiscard]] std::uint64_t packets_of_kind(net::PacketKind kind)
-      const noexcept {
-    return kind_counts_[static_cast<std::size_t>(kind)];
-  }
-
-  /// Key-setup traffic observed (HELLO + link adverts) — everything an
-  /// adversary present at deployment time could try Km-cracking against.
-  [[nodiscard]] std::uint64_t setup_packets_seen() const noexcept {
-    return packets_of_kind(net::PacketKind::kHello) +
-           packets_of_kind(net::PacketKind::kLinkAdvert);
-  }
-
   [[nodiscard]] std::uint64_t data_packets_seen() const noexcept {
     return data_headers_.size();
   }
@@ -60,7 +44,6 @@ class Eavesdropper {
  private:
   std::uint64_t packets_seen_ = 0;
   std::uint64_t bytes_seen_ = 0;
-  std::array<std::uint64_t, net::kPacketKindCount> kind_counts_{};
   std::vector<core::ClusterId> data_headers_;  // cid per recorded envelope
 };
 

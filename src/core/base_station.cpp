@@ -88,7 +88,7 @@ void BaseStation::on_delivered(net::Network& net,
   readings_.push_back(std::move(reading));
   net.counters().increment("bs.reading_accepted");
   if (obs::DeliveryTracker* tracker = net.delivery_tracker()) {
-    tracker->on_deliver(inner.source, net.sim().now().ns());
+    tracker->on_deliver(inner.source, inner.e2e_counter, net.sim().now().ns());
   }
 }
 

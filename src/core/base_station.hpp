@@ -66,10 +66,6 @@ class BaseStation : public SensorNode {
   bool broadcast_command(net::Network& net,
                          std::span<const std::uint8_t> payload);
 
-  [[nodiscard]] const MuTeslaBroadcaster& command_broadcaster() const noexcept {
-    return mutesla_;
-  }
-
  protected:
   void on_delivered(net::Network& net, const wsn::DataInner& inner) override;
 

@@ -103,12 +103,6 @@ class ProtocolRunner {
   [[nodiscard]] const obs::DeliveryTracker& deliveries() const noexcept {
     return delivery_tracker_;
   }
-  /// Crypto work not attributable to a single node: deployment
-  /// provisioning (key derivation for every node) and other
-  /// runner-driven bookkeeping.
-  [[nodiscard]] const crypto::CryptoCounters& runner_crypto() const noexcept {
-    return crypto_residual_;
-  }
   /// Deployment-wide crypto totals: the runner residual plus every
   /// node's attributed counters.
   [[nodiscard]] crypto::CryptoCounters crypto_totals() const noexcept {

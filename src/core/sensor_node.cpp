@@ -240,10 +240,12 @@ bool SensorNode::send_reading(net::Network& net,
 
   wsn::DataInner inner;
   inner.source = id();
+  // Every reading carries its sequence number, which also names it to
+  // the delivery tracker.
+  inner.e2e_counter = ++e2e_counter_;
   if (config().e2e_encrypt) {
     // §IV-C Step 1: E2E protection under keys derived from Ki, with the
     // shared counter providing semantic security.
-    inner.e2e_counter = ++e2e_counter_;
     inner.e2e_encrypted = 1;
     inner.body = held_context(secrets_.node_key, node_key_built_)
                      .seal(inner.e2e_counter, payload);
@@ -252,7 +254,7 @@ bool SensorNode::send_reading(net::Network& net,
   }
   net.counters().increment("data.originated");
   if (obs::DeliveryTracker* tracker = net.delivery_tracker()) {
-    tracker->on_originate(id(), net.sim().now().ns());
+    tracker->on_originate(id(), inner.e2e_counter, net.sim().now().ns());
   }
   forward_inner(net, std::move(inner));
   return true;

@@ -68,9 +68,6 @@ class Network {
   [[nodiscard]] std::uint32_t lane_of(NodeId id) const noexcept {
     return id < lane_of_.size() ? lane_of_[id] : 0;
   }
-  [[nodiscard]] const std::vector<std::uint32_t>& lane_map() const noexcept {
-    return lane_of_;
-  }
 
   /// Folds the per-lane registries into the main one, in lane order (so
   /// the result is independent of thread scheduling).  Idempotent.

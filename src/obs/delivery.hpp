@@ -4,12 +4,13 @@
 /// re-stamps its freshness timestamp at every forwarder, so origination
 /// time cannot be recovered from the wire — instead the source reports
 /// on_originate() when it wraps a reading and the final destination
-/// reports on_deliver() when the envelope authenticates.  Matching is
-/// per-source FIFO, which is exact under the tree routing this repo uses
-/// (one path per source, FIFO channel delays).
+/// reports on_deliver() when the envelope authenticates.  Both name the
+/// reading by (source, sequence), the per-source number the source
+/// stamps into every reading, so a delivery is timed from its own
+/// origination however many earlier readings of that source were lost.
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -33,21 +34,23 @@ class DeliveryTracker {
   // Sources and sinks may live on different lanes of a sharded run, so
   // the report paths take a lock.  Uncontended in serial runs; the data
   // phase is not on the setup fast path.
-  void on_originate(std::uint32_t source, std::int64_t now_ns) {
+  void on_originate(std::uint32_t source, std::uint64_t seq,
+                    std::int64_t now_ns) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    outstanding_[source].push_back(now_ns);
+    outstanding_.emplace(ReadingId{source, seq}, now_ns);
     ++originated_;
   }
 
-  void on_deliver(std::uint32_t source, std::int64_t now_ns) {
+  void on_deliver(std::uint32_t source, std::uint64_t seq,
+                  std::int64_t now_ns) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = outstanding_.find(source);
-    if (it == outstanding_.end() || it->second.empty()) {
+    const auto it = outstanding_.find(ReadingId{source, seq});
+    if (it == outstanding_.end()) {
       ++unmatched_;  // e.g. duplicate delivery or source outside tracking
       return;
     }
-    samples_.push_back(Sample{source, it->second.front(), now_ns});
-    it->second.pop_front();
+    samples_.push_back(Sample{source, it->second, now_ns});
+    outstanding_.erase(it);
   }
 
   [[nodiscard]] const std::vector<Sample>& samples() const noexcept {
@@ -88,8 +91,21 @@ class DeliveryTracker {
   [[nodiscard]] JsonValue to_json() const;
 
  private:
+  struct ReadingId {
+    std::uint32_t source = 0;
+    std::uint64_t seq = 0;
+    bool operator==(const ReadingId&) const = default;
+  };
+  struct ReadingIdHash {
+    std::size_t operator()(const ReadingId& r) const noexcept {
+      return std::hash<std::uint64_t>{}(r.seq * 0x9e3779b97f4a7c15ULL ^
+                                        r.source);
+    }
+  };
+
   std::mutex mutex_;
-  std::unordered_map<std::uint32_t, std::deque<std::int64_t>> outstanding_;
+  /// Origination time of every reading not yet delivered.
+  std::unordered_map<ReadingId, std::int64_t, ReadingIdHash> outstanding_;
   std::vector<Sample> samples_;
   std::uint64_t originated_ = 0;
   std::uint64_t unmatched_ = 0;

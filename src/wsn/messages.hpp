@@ -58,7 +58,7 @@ struct DataInner {
   std::int64_t tau_ns = 0;   ///< time() at wrapping, for freshness
   ClusterId echoed_cid = kNoCluster;
   NodeId source = net::kNoNode;      ///< originating sensor
-  std::uint64_t e2e_counter = 0;     ///< Step-1 counter (0 when Step 1 omitted)
+  std::uint64_t e2e_counter = 0;     ///< reading sequence; the Step-1 counter
   std::uint8_t e2e_encrypted = 0;    ///< 1 iff body is a Step-1 envelope
   support::Bytes body;               ///< D, or E2E-sealed D
 };

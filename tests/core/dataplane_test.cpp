@@ -76,15 +76,20 @@ class Digest {
 // Recorded on the deployment whose ids follow the Hilbert curve
 // (net/topology.hpp): the labels decide each position's provisioned
 // keys, its election back-off and the evicted cluster, so every value
-// below is specific to that numbering.
+// below is specific to that numbering.  The two digests were re-recorded
+// when DeliveryTracker began timing each delivery from its own reading
+// rather than its source's oldest undelivered one: 107 of the 593
+// samples moved, each in t_tx only, and every other folded value (the
+// frames, readings, counters, RNG position, packet records, audit stream
+// and the JSONL byte count) stayed as recorded.
 constexpr const char* kRecordedAirDigest =
-    "f223b41ea6340a6b2d33513466887ba638746eae62bdd5212f15fa71459bcbd2";
+    "8c587f414f9e07a6d06999754f505ca35fd6d5aa8a01bd5ec77a1298c3b36a68";
 constexpr std::size_t kRecordedFrames = 4092;
 constexpr std::size_t kRecordedDeliveries = 593;
 constexpr std::size_t kRecordedReadings = 593;
 
 constexpr const char* kRecordedTraceDigest =
-    "b21ff9cef150dfefad19c3ea3360b5889dd3b4f97c9a0d7f8a28a5e861ed7e94";
+    "9abc3a9baa5b146d698813ef28ea8d5f107f3c9d8e8cf13315355dce3a73cc34";
 constexpr std::size_t kRecordedPacketRecords = 4092;
 constexpr std::size_t kRecordedAuditEvents = 328;
 constexpr std::size_t kRecordedJsonlBytes = 343882;

@@ -13,13 +13,17 @@
 ///   ldke_sim scenario <spec.json> [-s seed] [--baselines]
 ///                     [--summary f.json] [--trace f.jsonl]
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/experiment.hpp"
@@ -90,35 +94,71 @@ int usage() {
   return 2;
 }
 
-bool parse_options(int argc, char** argv, int first, CliOptions& opt,
-                   std::string* attack_kind = nullptr) {
+/// Reads all of \p text as a T in [lo, hi]: false on an empty string,
+/// trailing characters, a non-finite number or a value out of range.
+template <typename T>
+bool parse_value(std::string_view text, T lo, T hi, T& out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  if (v < lo || v > hi) return false;
+  out = v;
+  return true;
+}
+
+/// 0 when every option parsed; otherwise the exit status, with the
+/// reason printed.
+int parse_options(int argc, char** argv, int first, CliOptions& opt,
+                  std::string* attack_kind = nullptr) {
+  constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
+  constexpr auto kMaxCount = std::numeric_limits<std::size_t>::max();
   for (int i = first; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto next_value = [&](double& out) {
-      if (i + 1 >= argc) return false;
-      out = std::strtod(argv[++i], nullptr);
-      return true;
+    bool bad_value = false;
+    // Takes the flag's value whole and in range, or reports it in one line.
+    auto next_value = [&](auto& out, auto lo, auto hi, const char* want) {
+      if (i + 1 < argc && parse_value(argv[i + 1], lo, hi, out)) {
+        ++i;
+        return;
+      }
+      std::cerr << "ldke: " << arg << " expects " << want << ", got ";
+      if (i + 1 < argc) {
+        std::cerr << '\'' << argv[i + 1] << "'\n";
+      } else {
+        std::cerr << "nothing\n";
+      }
+      bad_value = true;
     };
     auto next_string = [&](std::string& out) {
       if (i + 1 >= argc) return false;
       out = argv[++i];
       return true;
     };
-    double v = 0;
-    if (arg == "-n" && next_value(v)) {
-      opt.nodes = static_cast<std::size_t>(v);
-    } else if (arg == "-d" && next_value(v)) {
-      opt.density = v;
-    } else if (arg == "-s" && next_value(v)) {
-      opt.seed = static_cast<std::uint64_t>(v);
-    } else if (arg == "-t" && next_value(v)) {
-      opt.trials = static_cast<std::size_t>(v);
-    } else if (arg == "--loss" && next_value(v)) {
-      opt.loss = v;
-    } else if (arg == "--lanes" && next_value(v)) {
-      opt.lanes = static_cast<std::size_t>(v);
-    } else if (arg == "--duration" && next_value(v)) {
-      opt.duration = v;
+    if (arg == "-n") {
+      next_value(opt.nodes, std::size_t{1},
+                 std::size_t{std::numeric_limits<net::NodeId>::max()},
+                 "a node count from 1 to 4294967295");
+    } else if (arg == "-d") {
+      next_value(opt.density, kPositive, kMaxDouble, "a density > 0");
+    } else if (arg == "-s") {
+      next_value(opt.seed, std::uint64_t{0},
+                 std::numeric_limits<std::uint64_t>::max(),
+                 "an integer seed >= 0");
+    } else if (arg == "-t") {
+      next_value(opt.trials, std::size_t{1}, kMaxCount,
+                 "a trial count >= 1");
+    } else if (arg == "--loss") {
+      next_value(opt.loss, 0.0, 1.0, "a probability in [0, 1]");
+    } else if (arg == "--lanes") {
+      next_value(opt.lanes, std::size_t{1}, std::size_t{255},
+                 "a lane count from 1 to 255");
+    } else if (arg == "--duration") {
+      next_value(opt.duration, kPositive, kMaxDouble, "a duration > 0");
     } else if (arg == "--baselines") {
       opt.baselines = true;
     } else if (arg == "--collisions") {
@@ -134,10 +174,11 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
       *attack_kind = arg;
     } else {
       std::cerr << "unknown option: " << arg << '\n';
-      return false;
+      return usage();
     }
+    if (bad_value) return 2;
   }
-  return true;
+  return 0;
 }
 
 /// The --trace record logs: the packet trace and the audit stream, hung
@@ -519,7 +560,9 @@ int main(int argc, char** argv) {
   const std::string_view command = argv[1];
   CliOptions opt;
   std::string attack_kind;
-  if (!parse_options(argc, argv, 2, opt, &attack_kind)) return usage();
+  if (const int rc = parse_options(argc, argv, 2, opt, &attack_kind)) {
+    return rc;
+  }
 
   if (command == "setup") return cmd_setup(opt);
   if (command == "sweep") return cmd_sweep(opt);

@@ -19,17 +19,23 @@ import argparse
 import json
 import sys
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4  # 4 replaced `aesni_shani` with the shared `host` block
 NUMBER = (int, float)
 
 TOP_FIELDS = {
     "schema_version": int,
     "bench": str,
+    "seed": int,
+    "host": dict,
     "nodes": int,
     "density": NUMBER,
     "duration_s": NUMBER,
-    "seed": int,
-    "aesni_shani": bool,
+}
+
+HOST_FIELDS = {
+    "cores": int,
+    "aesni": bool,
+    "sha_ni": bool,
 }
 
 ENGINE_FIELDS = {
@@ -85,6 +91,9 @@ def check(path, min_pps, checker):
                      f"validator knows {SCHEMA_VERSION}")
     for field, kind in TOP_FIELDS.items():
         checker.expect(doc, field, kind, path)
+    if isinstance(doc.get("host"), dict):
+        for field, kind in HOST_FIELDS.items():
+            checker.expect(doc["host"], field, kind, f"{path}:host")
     if doc.get("bench") not in (None, "dataplane"):
         checker.fail(f"{path}: bench is '{doc.get('bench')}', "
                      f"expected 'dataplane'")

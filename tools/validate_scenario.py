@@ -15,8 +15,8 @@ violation so a CI failure points straight at the malformed field.
     every engine phase and baseline replay, plus the bench's own hard
     gates re-checked — deterministic reruns, and every replay's trace
     digest equal to its engine's (a stale or hand-edited artifact
-    cannot sneak past CI).  When the artifact carries a `scale_sweep`
-    (schema v2), every point's fields and sanity are re-checked too:
+    cannot sneak past CI).  When the artifact carries a `scale_sweep`,
+    every point's fields and sanity are re-checked too:
     positive timings, element-identity, and the incremental-vs-full
     speedup consistent with its own timings and above the recorded
     gate at gate-sized deployments.
@@ -30,7 +30,8 @@ import json
 import sys
 
 SCHEMA_VERSION = 1
-BENCH_SCHEMA_VERSIONS = (1, 2)  # 2 added the mobile-scale sweep
+# 2 added the mobile-scale sweep, 3 the shared envelope (seed, host).
+BENCH_SCHEMA_VERSION = 3
 NUMBER = (int, float)
 MOTION_MODELS = ("none", "waypoint", "group")
 
@@ -76,6 +77,12 @@ REPLAY_PHASE_FIELDS = {
     "secured_link_fraction": NUMBER,
     "mean_secured_degree": NUMBER,
     "unkeyed_nodes": int,
+}
+
+HOST_FIELDS = {
+    "cores": int,
+    "aesni": bool,
+    "sha_ni": bool,
 }
 
 SWEEP_POINT_FIELDS = {
@@ -188,15 +195,13 @@ def check_sweep(doc, path, checker):
     """The mobile-scale sweep: shape + the bench's own gates re-checked."""
     points = doc.get("scale_sweep")
     if points is None:
-        if doc.get("schema_version") == 2 and "sweep_identical" in doc:
+        if "sweep_identical" in doc:
             checker.fail(f"{path}: sweep flags present but no scale_sweep")
         return
     if checker.expect(doc, "sweep_identical", bool, path) is False:
         checker.fail(f"{path}: bench reported sweep topologies diverged")
     min_speedup = checker.expect(doc, "sweep_min_speedup", NUMBER, path)
-    # Artifacts that predate the recorded gate size used the default.
-    gate_nodes = (checker.expect(doc, "sweep_gate_nodes", int, path)
-                  if "sweep_gate_nodes" in doc else 50000)
+    gate_nodes = checker.expect(doc, "sweep_gate_nodes", int, path)
     if not points:
         checker.fail(f"{path}: scale_sweep is empty")
     for si, pt in enumerate(points):
@@ -228,14 +233,18 @@ def check_sweep(doc, path, checker):
 
 def check_bench(doc, path, checker):
     version = checker.expect(doc, "schema_version", int, path)
-    if version is not None and version not in BENCH_SCHEMA_VERSIONS:
+    if version is not None and version != BENCH_SCHEMA_VERSION:
         checker.fail(f"{path}: schema_version {version}, "
-                     f"validator knows {BENCH_SCHEMA_VERSIONS}")
+                     f"validator knows {BENCH_SCHEMA_VERSION}")
     if doc.get("bench") != "scenarios":
         checker.fail(f"{path}: bench is '{doc.get('bench')}', "
                      f"expected 'scenarios'")
-    checker.expect(doc, "nodes", int, path)
     checker.expect(doc, "seed", int, path)
+    host = checker.expect(doc, "host", dict, path)
+    if isinstance(host, dict):
+        for field, kind in HOST_FIELDS.items():
+            checker.expect(host, field, kind, f"{path}: host")
+    checker.expect(doc, "nodes", int, path)
     if checker.expect(doc, "deterministic", bool, path) is False:
         checker.fail(f"{path}: bench reported non-deterministic reruns")
     if checker.expect(doc, "digests_match", bool, path) is False:
