@@ -209,37 +209,28 @@ SweepPoint sweep_topology(std::size_t nodes, std::size_t reps,
     }
   }
 
-  const auto incr_epoch = [&] {
+  // One waypoint epoch down both paths.  Only the topology-maintenance
+  // call sits inside the clock; walker integration is common to both
+  // paths and O(N) by construction.
+  double incr_acc = 0.0, full_acc = 0.0;
+  const auto epoch = [&] {
     field_i.advance(mc.epoch_s);
     const scenario::MobilityField::Displacements d = field_i.displacements();
+    auto t0 = bench::Clock::now();
     incr.apply_displacements(d.ids, d.positions);
-  };
-  const auto full_epoch = [&] {
-    field_f.advance(mc.epoch_s);
-    full.update_positions(field_f.positions());
-  };
-  for (std::size_t e = 0; e < kWarmupEpochs; ++e) {
-    incr_epoch();
-    full_epoch();
-  }
+    incr_acc += seconds_since(t0);
 
-  // Only the topology-maintenance call sits inside the clock; walker
-  // integration is common to both paths and O(N) by construction.
+    field_f.advance(mc.epoch_s);
+    t0 = bench::Clock::now();
+    full.update_positions(field_f.positions());
+    full_acc += seconds_since(t0);
+  };
+  for (std::size_t e = 0; e < kWarmupEpochs; ++e) epoch();
+
   double incr_best = 1e30, full_best = 1e30;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    double incr_acc = 0.0, full_acc = 0.0;
-    for (std::size_t e = 0; e < kEpochsPerRep; ++e) {
-      field_i.advance(mc.epoch_s);
-      const scenario::MobilityField::Displacements d = field_i.displacements();
-      auto t0 = bench::Clock::now();
-      incr.apply_displacements(d.ids, d.positions);
-      incr_acc += seconds_since(t0);
-
-      field_f.advance(mc.epoch_s);
-      t0 = bench::Clock::now();
-      full.update_positions(field_f.positions());
-      full_acc += seconds_since(t0);
-    }
+    incr_acc = full_acc = 0.0;
+    for (std::size_t e = 0; e < kEpochsPerRep; ++e) epoch();
     incr_best =
         std::min(incr_best, incr_acc / static_cast<double>(kEpochsPerRep));
     full_best =

@@ -1,25 +1,18 @@
 #!/bin/bash
-# Runs every bench at full fidelity from a dedicated *Release* build tree
-# and records the outputs into results/.  Honors LDKE_BENCH_TRIALS /
-# LDKE_BENCH_NODES for quick runs and LDKE_BENCH_BUILD_DIR to relocate
-# the build tree (default: build-bench/).  LDKE_BENCH_OUT is unset, so
-# every JSON bench writes its own results/BENCH_<name>.json.
+# Runs every bench at full fidelity from a dedicated Release build tree
+# (LDKE_BENCH_BUILD_DIR, default build-bench/) and records the outputs
+# into results/.  Honors LDKE_BENCH_TRIALS / LDKE_BENCH_NODES for quick
+# runs.  LDKE_BENCH_OUT is unset, so every JSON bench writes its own
+# results/BENCH_<name>.json; the google-benchmark micro suites also write
+# results/BENCH_{crypto,sim,net}_micro.json.
 #
-# Numbers are only worth recording from an optimized build, so this
-# script configures its own -DCMAKE_BUILD_TYPE=Release tree (the default
-# build/ tree may be Debug, or carry an empty cached CMAKE_BUILD_TYPE
-# from an old configure) and refuses to record otherwise.  The
-# google-benchmark micro suites additionally emit machine-readable JSON
-# (results/BENCH_crypto_micro.json, results/BENCH_sim_micro.json,
-# results/BENCH_net_micro.json).
-#
-# Note: google-benchmark's "Library was built as DEBUG" console warning
-# and the JSON's "library_build_type" field describe the *installed
-# libbenchmark package* (Debian ships it debug-built), not our code, so
-# they appear even from a Release tree.  The refusal below therefore
-# keys on the one thing this script controls and that governs our own
-# code's optimization: the build tree's cached CMAKE_BUILD_TYPE — every
-# binary run here was just built from that tree.
+# The script configures its own -DCMAKE_BUILD_TYPE=Release tree (build/
+# may be Debug, or carry an empty cached CMAKE_BUILD_TYPE) and refuses to
+# record from anything else.  The refusal keys on that tree's cached
+# CMAKE_BUILD_TYPE, not on google-benchmark's "Library was built as
+# DEBUG" warning or its JSON "library_build_type": those describe the
+# installed libbenchmark package (Debian ships it debug-built), not our
+# code.
 set -u
 cd "$(dirname "$0")" || exit 1
 
@@ -65,10 +58,20 @@ done
 
 # Diff every fresh JSON artifact that carries the bench envelope
 # (schema_version, bench, host) against its committed version: numeric
-# leaves, objects by key and arrays by position.  Each leaf that moved is
-# printed, and one that moved more than 25 % is flagged.
+# leaves, objects by key, and arrays by element identity (name, scheme,
+# nodes and lanes, or the engine's name) where each element has a
+# distinct one, else by position.  Each leaf that moved is printed, one
+# that moved more than 25 % is flagged, and unmatched elements are named.
 python3 - <<'PYEOF'
 import glob, json, subprocess
+
+def keyed(items):
+    ids = [",".join(f"{k}={s[k]}" for s in (x, x.get("engine", {}))
+                    for k in ("name", "scheme", "nodes", "lanes") if k in s)
+           if isinstance(x, dict) else "" for x in items]
+    if not all(ids) or len(set(ids)) < len(ids):
+        ids = map(str, range(len(items)))
+    return dict(zip(ids, items))
 
 def walk(path, b, a, out):
     if isinstance(b, dict) and isinstance(a, dict):
@@ -76,13 +79,17 @@ def walk(path, b, a, out):
             if k in a:
                 walk(f"{path}.{k}", b[k], a[k], out)
     elif isinstance(b, list) and isinstance(a, list):
-        for i, (x, y) in enumerate(zip(b, a)):
-            walk(f"{path}[{i}]", x, y, out)
+        kb, ka = keyed(b), keyed(a)
+        out += [f"{path}[{k}] is in one run only"
+                for k in sorted(kb.keys() ^ ka.keys())]
+        for k in kb:
+            if k in ka:
+                walk(f"{path}[{k}]", kb[k], ka[k], out)
     elif all(isinstance(v, (int, float)) and not isinstance(v, bool)
              for v in (a, b)) and a != b:
-        delta = (a - b) / b * 100.0 if b != 0 else float("inf")
-        flag = "  <-- drifted" if abs(delta) > 25.0 else ""
-        out.append(f"{path:60s} {b:12.4g} -> {a:12.4g}  ({delta:+.1f}%){flag}")
+        delta = f"{(a - b) / b * 100.0:+.1f}%" if b != 0 else "from 0"
+        flag = "  <-- drifted" if b != 0 and abs(a - b) > 0.25 * abs(b) else ""
+        out.append(f"{path:60s} {b:12.4g} -> {a:12.4g}  ({delta}){flag}")
 
 for fresh in sorted(glob.glob("results/BENCH_*.json")):
     shown = subprocess.run(["git", "show", f"HEAD:{fresh}"],

@@ -76,12 +76,9 @@ class Digest {
 // Recorded on the deployment whose ids follow the Hilbert curve
 // (net/topology.hpp): the labels decide each position's provisioned
 // keys, its election back-off and the evicted cluster, so every value
-// below is specific to that numbering.  The two digests were re-recorded
-// when DeliveryTracker began timing each delivery from its own reading
-// rather than its source's oldest undelivered one: 107 of the 593
-// samples moved, each in t_tx only, and every other folded value (the
-// frames, readings, counters, RNG position, packet records, audit stream
-// and the JSONL byte count) stayed as recorded.
+// below is specific to that numbering.  The delivery samples the digests
+// fold carry each delivery's own origination time: DeliveryTracker
+// matches a delivery to its reading by source and sequence number.
 constexpr const char* kRecordedAirDigest =
     "8c587f414f9e07a6d06999754f505ca35fd6d5aa8a01bd5ec77a1298c3b36a68";
 constexpr std::size_t kRecordedFrames = 4092;

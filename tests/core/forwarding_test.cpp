@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "attacks/adversary.hpp"
 #include "crypto/authenc.hpp"
 #include "test_helpers.hpp"
@@ -137,6 +140,36 @@ TEST(Forwarding, FusionFilterDiscardsRedundantReports) {
   runner->run_for(5.0);
   EXPECT_EQ(runner->base_station()->readings().size(), 0u);
   EXPECT_GE(runner->network().counters().value("data.fusion_dropped"), 1u);
+}
+
+TEST(Forwarding, FusionModeTimesEachDeliveryFromItsOwnReading) {
+  auto cfg = small_config();
+  cfg.protocol.e2e_encrypt = false;
+  auto runner = after_routing(cfg);
+  const net::NodeId source = pick_far_node(*runner);
+  const net::NodeId forwarder = runner->node(source).routing().parent();
+  ASSERT_NE(forwarder, net::kNoNode);
+  if (forwarder == 0) GTEST_SKIP() << "source adjacent to base station";
+  // The forwarder discards the first reading, so the next two must each
+  // be timed from their own origination, not from the lost one.
+  const auto lost = support::bytes_of("r0");
+  runner->node(forwarder).set_fusion_filter(
+      [&lost](const wsn::DataInner& inner) { return inner.body != lost; });
+  std::vector<std::int64_t> sent_at;
+  for (const char* text : {"r0", "r1", "r2"}) {
+    sent_at.push_back(runner->sim().now().ns());
+    ASSERT_TRUE(runner->node(source).send_reading(runner->network(),
+                                                  support::bytes_of(text)));
+    runner->run_for(3.0);
+  }
+  const obs::DeliveryTracker& tracker = runner->deliveries();
+  ASSERT_EQ(runner->base_station()->readings().size(), 2u);
+  EXPECT_EQ(tracker.originated(), 3u);
+  EXPECT_EQ(tracker.delivered(), 2u);
+  EXPECT_EQ(tracker.unmatched(), 0u);
+  ASSERT_EQ(tracker.samples().size(), 2u);
+  EXPECT_EQ(tracker.samples()[0].t_tx_ns, sent_at[1]);
+  EXPECT_EQ(tracker.samples()[1].t_tx_ns, sent_at[2]);
 }
 
 TEST(Forwarding, PromptReplayRejectedByNonceTracking) {
