@@ -26,7 +26,10 @@
 ///   - sweep identity: incremental and full-rebuild topologies must be
 ///     element-identical after every timed sweep, and
 ///   - sweep speedup: at >= kGateNodes (50,000) nodes the per-epoch
-///     speedup must clear kMinSpeedup (5x).
+///     speedup must clear kMinSpeedup (5x).  It applies only when at
+///     most kGateMobileFraction (10 %) of the nodes move, the regime it
+///     was calibrated on: with every node moving, incremental and full
+///     rebuild do the same work.
 ///
 /// Results land in results/BENCH_scenarios.json.  Env knobs:
 /// LDKE_BENCH_SCENARIO_NODES (default 1000), LDKE_BENCH_SCENARIO_REPS
@@ -60,9 +63,11 @@ using bench::seconds_since;
 const std::uint64_t kSeed = bench::base_config().seed;
 
 /// The sweep's speedup gate: incremental maintenance must beat a full
-/// rebuild by kMinSpeedup at kGateNodes nodes and above.
+/// rebuild by kMinSpeedup at kGateNodes nodes and above, when at most
+/// kGateMobileFraction of the nodes move.
 constexpr double kMinSpeedup = 5.0;
 constexpr std::size_t kGateNodes = 50000;
+constexpr double kGateMobileFraction = 0.1;
 
 /// The deployment area scales with the node count so density (and with
 /// it cluster structure) stays comparable across LDKE_BENCH_SCENARIO_NODES.
@@ -370,6 +375,7 @@ int main() {
   // Section 2: the mobile-scale sweep.
   bool sweep_identical = true;
   bool sweep_fast_enough = true;
+  const bool speedup_gated = mobile_fraction <= kGateMobileFraction;
   obs::JsonValue sweep;
   if (!scale_sizes.empty()) {
     std::cout << "\nMobile-scale sweep (waypoint epochs, "
@@ -387,7 +393,7 @@ int main() {
         pt.engine_wall_s = seconds_since(t0);
       }
       sweep_identical = sweep_identical && pt.identical;
-      if (n >= kGateNodes && pt.speedup() < kMinSpeedup) {
+      if (speedup_gated && n >= kGateNodes && pt.speedup() < kMinSpeedup) {
         sweep_fast_enough = false;
       }
       sweep_table.add_row(
@@ -400,10 +406,13 @@ int main() {
     }
     sweep_table.print(std::cout);
     std::cout << "\nsweep topologies element-identical: "
-              << (sweep_identical ? "yes" : "NO")
-              << "\nsweep speedup >= " << support::fmt(kMinSpeedup, 1)
-              << "x at >= " << kGateNodes
-              << " nodes: " << (sweep_fast_enough ? "yes" : "NO") << "\n";
+              << (sweep_identical ? "yes" : "NO") << "\nsweep speedup >= "
+              << support::fmt(kMinSpeedup, 1) << "x at >= " << kGateNodes
+              << " nodes: "
+              << (!speedup_gated       ? "not gated above 10% movers"
+                  : sweep_fast_enough ? "yes"
+                                      : "NO")
+              << "\n";
   }
 
   obs::JsonValue doc = bench::artifact("scenarios", 3);
@@ -414,8 +423,10 @@ int main() {
   doc.set("scenarios", std::move(scenarios));
   if (!scale_sizes.empty()) {
     doc.set("sweep_identical", sweep_identical);
-    doc.set("sweep_min_speedup", kMinSpeedup);
-    doc.set("sweep_gate_nodes", static_cast<std::uint64_t>(kGateNodes));
+    if (speedup_gated) {
+      doc.set("sweep_min_speedup", kMinSpeedup);
+      doc.set("sweep_gate_nodes", static_cast<std::uint64_t>(kGateNodes));
+    }
     doc.set("sweep_mobile_fraction", mobile_fraction);
     doc.set("scale_sweep", std::move(sweep));
   }

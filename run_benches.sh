@@ -4,7 +4,7 @@
 # into results/.  Honors LDKE_BENCH_TRIALS / LDKE_BENCH_NODES for quick
 # runs.  LDKE_BENCH_OUT is unset, so every JSON bench writes its own
 # results/BENCH_<name>.json; the google-benchmark micro suites also write
-# results/BENCH_{crypto,sim,net}_micro.json.
+# results/BENCH_{crypto,sim,net,obs}_micro.json.
 #
 # The script configures its own -DCMAKE_BUILD_TYPE=Release tree (build/
 # may be Debug, or carry an empty cached CMAKE_BUILD_TYPE) and refuses to
@@ -39,6 +39,7 @@ declare -A json_out=(
   [bench_crypto_micro]=BENCH_crypto_micro.json
   [bench_sim_micro]=BENCH_sim_micro.json
   [bench_net_micro]=BENCH_net_micro.json
+  [bench_obs]=BENCH_obs_micro.json
 )
 
 for b in "$BUILD_DIR"/bench/bench_*; do

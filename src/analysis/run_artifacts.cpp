@@ -184,122 +184,6 @@ obs::JsonValue to_json(const RunSummary& s) {
   return out;
 }
 
-std::optional<RunSummary> run_summary_from_json(const obs::JsonValue& value) {
-  if (!value.is_object()) return std::nullopt;
-  RunSummary s;
-  s.schema_version = static_cast<int>(value.int_at("schema_version", 1));
-  if (s.schema_version > 1) return std::nullopt;
-  s.tool = value.string_at("tool");
-
-  if (const obs::JsonValue* config = value.find("config")) {
-    s.config.node_count =
-        static_cast<std::size_t>(config->int_at("node_count"));
-    s.config.density = config->number_at("density");
-    s.config.side_m = config->number_at("side_m");
-    s.config.seed = static_cast<std::uint64_t>(config->int_at("seed"));
-  }
-  if (const obs::JsonValue* setup = value.find("setup")) {
-    s.setup.node_count = s.config.node_count;
-    s.setup.cluster_count =
-        static_cast<std::size_t>(setup->int_at("cluster_count"));
-    s.setup.head_fraction = setup->number_at("head_fraction");
-    s.setup.mean_cluster_size = setup->number_at("mean_cluster_size");
-    s.setup.mean_keys_per_node = setup->number_at("mean_keys_per_node");
-    s.setup.setup_messages_per_node =
-        setup->number_at("setup_messages_per_node");
-    s.setup.singleton_clusters =
-        static_cast<std::size_t>(setup->int_at("singleton_clusters"));
-    s.setup.undecided_nodes =
-        static_cast<std::size_t>(setup->int_at("undecided_nodes"));
-    s.setup.setup_span_s = setup->number_at("setup_span_s");
-    s.setup.realized_density = setup->number_at("realized_density");
-    if (const obs::JsonValue* sizes = setup->find("cluster_sizes")) {
-      if (sizes->is_object()) {
-        for (const auto& [key, count] : sizes->as_object()) {
-          s.setup.cluster_sizes.add(
-              static_cast<std::size_t>(std::stoull(key)),
-              static_cast<std::uint64_t>(count.as_int()));
-        }
-      }
-    }
-  }
-  if (const obs::JsonValue* sim = value.find("sim")) {
-    s.sim.events_executed =
-        static_cast<std::uint64_t>(sim->int_at("events_executed"));
-    s.sim.queue_high_water =
-        static_cast<std::uint64_t>(sim->int_at("queue_high_water"));
-    s.sim.wall_seconds = sim->number_at("wall_seconds");
-    s.sim.sim_time_s = sim->number_at("sim_time_s");
-  }
-  if (const obs::JsonValue* channel = value.find("channel")) {
-    s.channel.transmissions =
-        static_cast<std::uint64_t>(channel->int_at("transmissions"));
-    s.channel.deliveries =
-        static_cast<std::uint64_t>(channel->int_at("deliveries"));
-    s.channel.bytes_sent =
-        static_cast<std::uint64_t>(channel->int_at("bytes_sent"));
-    s.channel.collisions =
-        static_cast<std::uint64_t>(channel->int_at("collisions"));
-    s.channel.losses = static_cast<std::uint64_t>(channel->int_at("losses"));
-    if (const obs::JsonValue* by_kind = channel->find("by_kind")) {
-      if (by_kind->is_object()) {
-        for (const auto& [kind, entry] : by_kind->as_object()) {
-          s.channel.by_kind.push_back(KindTraffic{
-              kind, static_cast<std::uint64_t>(entry.int_at("packets")),
-              static_cast<std::uint64_t>(entry.int_at("bytes"))});
-        }
-      }
-    }
-  }
-  if (const obs::JsonValue* crypto = value.find("crypto")) {
-    s.crypto.seals = static_cast<std::uint64_t>(crypto->int_at("seals"));
-    s.crypto.opens = static_cast<std::uint64_t>(crypto->int_at("opens"));
-    s.crypto.open_failures =
-        static_cast<std::uint64_t>(crypto->int_at("open_failures"));
-    s.crypto.prf_calls =
-        static_cast<std::uint64_t>(crypto->int_at("prf_calls"));
-    s.crypto.sealed_bytes =
-        static_cast<std::uint64_t>(crypto->int_at("sealed_bytes"));
-    s.crypto.opened_bytes =
-        static_cast<std::uint64_t>(crypto->int_at("opened_bytes"));
-    s.crypto.macs = static_cast<std::uint64_t>(crypto->int_at("macs"));
-  }
-  if (const obs::JsonValue* energy = value.find("energy")) {
-    s.energy.total_j = energy->number_at("total_j");
-    s.energy.tx_j = energy->number_at("tx_j");
-    s.energy.rx_j = energy->number_at("rx_j");
-  }
-  if (const obs::JsonValue* latency = value.find("latency")) {
-    s.latency.originated =
-        static_cast<std::uint64_t>(latency->int_at("originated"));
-    s.latency.delivered =
-        static_cast<std::uint64_t>(latency->int_at("delivered"));
-    s.latency.unmatched =
-        static_cast<std::uint64_t>(latency->int_at("unmatched"));
-    s.latency.p50_ms = latency->number_at("p50_ms");
-    s.latency.p90_ms = latency->number_at("p90_ms");
-    s.latency.p95_ms = latency->number_at("p95_ms");
-    s.latency.p99_ms = latency->number_at("p99_ms");
-    s.latency.max_ms = latency->number_at("max_ms");
-  }
-  if (const obs::JsonValue* phases = value.find("phases")) {
-    if (phases->is_array()) {
-      for (const obs::JsonValue& entry : phases->as_array()) {
-        obs::TraceSpan span;
-        span.name = entry.string_at("name");
-        span.t0_ns = entry.int_at("t0");
-        span.t1_ns = entry.int_at("t1", -1);
-        span.depth = static_cast<std::uint32_t>(entry.int_at("depth"));
-        s.phases.push_back(std::move(span));
-      }
-    }
-  }
-  if (const obs::JsonValue* counters = value.find("counters")) {
-    s.counters = *counters;
-  }
-  return s;
-}
-
 void write_run_summary(std::ostream& os, const RunSummary& summary) {
   os << to_json(summary).dump() << '\n';
 }

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,12 +89,6 @@ struct RunSummary {
                                              std::string_view tool);
 
 [[nodiscard]] obs::JsonValue to_json(const RunSummary& summary);
-
-/// Inverse of to_json (unknown keys ignored; missing keys default).
-/// Returns nullopt when \p value is not an object or the schema version
-/// is newer than this reader.
-[[nodiscard]] std::optional<RunSummary> run_summary_from_json(
-    const obs::JsonValue& value);
 
 /// Serializes the summary as a single JSON document plus newline.
 void write_run_summary(std::ostream& os, const RunSummary& summary);

@@ -39,18 +39,19 @@ CloneAttackResult run_clone_attack(core::ProtocolRunner& runner,
   pkt.kind = net::PacketKind::kData;
   pkt.payload = wsn::join_envelope(header_bytes, sealed);
 
-  const auto before_peek = net.counters().value("data.peek_ok");
-  const auto before_no_key = net.counters().value("envelope.no_key");
-  const auto before_auth = net.counters().value("envelope.auth_fail");
+  const auto& counters = net.counters();
+  const auto before_peek = counters.value(obs::Counter::kDataPeekOk);
+  const auto before_no_key = counters.value(obs::Counter::kEnvelopeNoKey);
+  const auto before_auth = counters.value(obs::Counter::kEnvelopeAuthFail);
 
   net.channel().broadcast_from(position, radius, pkt);
   runner.run_for(0.2);
 
-  result.accepted = net.counters().value("data.peek_ok") - before_peek;
+  result.accepted = counters.value(obs::Counter::kDataPeekOk) - before_peek;
   result.rejected_no_key =
-      net.counters().value("envelope.no_key") - before_no_key;
+      counters.value(obs::Counter::kEnvelopeNoKey) - before_no_key;
   result.rejected_auth =
-      net.counters().value("envelope.auth_fail") - before_auth;
+      counters.value(obs::Counter::kEnvelopeAuthFail) - before_auth;
   return result;
 }
 

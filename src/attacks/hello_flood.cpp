@@ -48,10 +48,11 @@ HelloFloodResult run_hello_flood(core::ProtocolRunner& runner,
         });
   }
 
-  const auto before_fail = net.counters().value("setup.hello_auth_fail");
+  const auto before_fail =
+      net.counters().value(obs::Counter::kSetupHelloAuthFail);
   runner.run_key_setup();
   result.auth_failures =
-      net.counters().value("setup.hello_auth_fail") - before_fail;
+      net.counters().value(obs::Counter::kSetupHelloAuthFail) - before_fail;
 
   for (const auto& node : runner.nodes()) {
     if (node->keys().has_own() && node->cid() >= fake_base) {

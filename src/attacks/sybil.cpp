@@ -21,7 +21,7 @@ SybilResult run_sybil_attack(core::ProtocolRunner& runner,
   const net::NodeId parent = runner.node(material.node).routing().parent();
 
   const auto& counters = net.counters();
-  const auto peek_before = counters.value("data.peek_ok");
+  const auto peek_before = counters.value(obs::Counter::kDataPeekOk);
   const auto bs_before = runner.base_station()->readings().size();
   const auto bs_fail_before = runner.base_station()->e2e_auth_failures() +
                               runner.base_station()->counter_violations();
@@ -58,7 +58,7 @@ SybilResult run_sybil_attack(core::ProtocolRunner& runner,
   }
   runner.run_for(10.0);
 
-  result.hop_accepted = counters.value("data.peek_ok") - peek_before;
+  result.hop_accepted = counters.value(obs::Counter::kDataPeekOk) - peek_before;
   result.bs_accepted = runner.base_station()->readings().size() - bs_before;
   result.bs_rejected = runner.base_station()->e2e_auth_failures() +
                        runner.base_station()->counter_violations() -

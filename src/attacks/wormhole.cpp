@@ -11,10 +11,10 @@ WormholeResult run_wormhole_attack(core::ProtocolRunner& runner,
   WormholeResult result;
 
   const auto& counters = net.counters();
-  const auto no_key_before = counters.value("envelope.no_key");
-  const auto auth_before = counters.value("envelope.auth_fail");
-  const auto stale_before = counters.value("envelope.stale");
-  const auto replay_before = counters.value("envelope.replay");
+  const auto no_key_before = counters.value(obs::Counter::kEnvelopeNoKey);
+  const auto auth_before = counters.value(obs::Counter::kEnvelopeAuthFail);
+  const auto stale_before = counters.value(obs::Counter::kEnvelopeStale);
+  const auto replay_before = counters.value(obs::Counter::kEnvelopeReplay);
 
   // The tunnel: sniff every beacon whose sender sits inside disc A and
   // re-emit it once from disc B after a short out-of-band delay.
@@ -38,10 +38,12 @@ WormholeResult run_wormhole_attack(core::ProtocolRunner& runner,
   runner.run_routing_setup();
   net.channel().set_sniffer(nullptr);
 
-  result.rejected_no_key = counters.value("envelope.no_key") - no_key_before;
-  result.rejected_other = (counters.value("envelope.auth_fail") - auth_before) +
-                          (counters.value("envelope.stale") - stale_before) +
-                          (counters.value("envelope.replay") - replay_before);
+  result.rejected_no_key =
+      counters.value(obs::Counter::kEnvelopeNoKey) - no_key_before;
+  result.rejected_other =
+      (counters.value(obs::Counter::kEnvelopeAuthFail) - auth_before) +
+      (counters.value(obs::Counter::kEnvelopeStale) - stale_before) +
+      (counters.value(obs::Counter::kEnvelopeReplay) - replay_before);
   // "accepted" is approximated by route corruption: a receiver that
   // verified a tunneled beacon would adopt a parent it cannot reach.
   const auto& topo = net.topology();

@@ -27,7 +27,7 @@ void BaseStation::emit_disclosure(net::Network& net) {
     last_disclosed_interval_ = disclosure->interval;
     net.broadcast(net::Packet{id(), net::PacketKind::kKeyDisclosure,
                               wsn::encode(*disclosure)});
-    net.counters().increment("mutesla.disclosed");
+    net.counters().increment(obs::Counter::kMuteslaDisclosed);
   }
   // Keep ticking until the chain is spent.
   if (last_disclosed_interval_ < config().mutesla.chain_length) {
@@ -48,7 +48,7 @@ bool BaseStation::broadcast_command(net::Network& net,
   if (!cmd) return false;
   net.broadcast(
       net::Packet{id(), net::PacketKind::kAuthBroadcast, wsn::encode(*cmd)});
-  net.counters().increment("mutesla.command_sent");
+  net.counters().increment(obs::Counter::kMuteslaCommandSent);
   return true;
 }
 
@@ -66,7 +66,7 @@ void BaseStation::on_delivered(net::Network& net,
     if (inner.e2e_counter < expected ||
         inner.e2e_counter >= expected + config().counter_window) {
       ++counter_violations_;
-      net.counters().increment("bs.counter_violation");
+      net.counters().increment(obs::Counter::kBsCounterViolation);
       return;
     }
     const auto [ki, first] = node_keys_.try_emplace(inner.source);
@@ -77,7 +77,7 @@ void BaseStation::on_delivered(net::Network& net,
     auto plain = ctx.open(inner.e2e_counter, inner.body);
     if (!plain) {
       ++e2e_auth_failures_;
-      net.counters().increment("bs.e2e_auth_fail");
+      net.counters().increment(obs::Counter::kBsE2eAuthFail);
       return;
     }
     expected = inner.e2e_counter + 1;
@@ -86,7 +86,7 @@ void BaseStation::on_delivered(net::Network& net,
     reading.payload = inner.body;
   }
   readings_.push_back(std::move(reading));
-  net.counters().increment("bs.reading_accepted");
+  net.counters().increment(obs::Counter::kBsReadingAccepted);
   if (obs::DeliveryTracker* tracker = net.delivery_tracker()) {
     tracker->on_deliver(inner.source, inner.e2e_counter, net.sim().now().ns());
   }
@@ -103,7 +103,7 @@ bool BaseStation::revoke_clusters(net::Network& net,
   body.tag = wsn::revoke_tag(*element, cids);
   net.broadcast(
       net::Packet{id(), net::PacketKind::kRevoke, wsn::encode(body)});
-  net.counters().increment("revoke.issued");
+  net.counters().increment(obs::Counter::kRevokeIssued);
   for (const ClusterId cid : cids) {
     net.audit(obs::AuditKind::kEvictionIssued, id(), cid);
   }

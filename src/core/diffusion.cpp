@@ -87,7 +87,7 @@ void SensorNode::subscribe_interest(net::Network& net, InterestId interest,
   body.interest = interest;
   body.descriptor = entry.descriptor;
   broadcast_under_current_key(net, PacketKind::kInterest, wsn::encode(body));
-  net.counters().increment("diffusion.interest_sent");
+  net.counters().increment(obs::Counter::kDiffusionInterestSent);
 }
 
 void SensorNode::on_interest(net::Network& net, const Packet& packet) {
@@ -96,7 +96,7 @@ void SensorNode::on_interest(net::Network& net, const Packet& packet) {
   if (!plain) return;
   const auto body = wsn::decode<InterestBody>(*plain);
   if (!body) {
-    net.counters().increment("diffusion.malformed");
+    net.counters().increment(obs::Counter::kDiffusionMalformed);
     return;
   }
   if (role_ == Role::kEvicted) return;
@@ -106,7 +106,7 @@ void SensorNode::on_interest(net::Network& net, const Packet& packet) {
   entry.toward_sink = packet.sender;  // gradient toward the sink
   entry.descriptor = body->descriptor;
   broadcast_under_current_key(net, PacketKind::kInterest, wsn::encode(*body));
-  net.counters().increment("diffusion.interest_forwarded");
+  net.counters().increment(obs::Counter::kDiffusionInterestForwarded);
 }
 
 bool SensorNode::publish_sample(net::Network& net, InterestId interest,
@@ -139,8 +139,9 @@ bool SensorNode::publish_sample(net::Network& net, InterestId interest,
                               : entry.toward_sink);
   broadcast_under_current_key(net, PacketKind::kDiffData, wsn::encode(body),
                               next_hop);
-  net.counters().increment(body.exploratory ? "diffusion.exploratory_sent"
-                                            : "diffusion.path_sent");
+  net.counters().increment(body.exploratory
+                               ? obs::Counter::kDiffusionExploratorySent
+                               : obs::Counter::kDiffusionPathSent);
   return true;
 }
 
@@ -150,7 +151,7 @@ void SensorNode::on_diff_data(net::Network& net, const Packet& packet) {
   if (!plain) return;
   const auto body = wsn::decode<DiffusionDataBody>(*plain);
   if (!body) {
-    net.counters().increment("diffusion.malformed");
+    net.counters().increment(obs::Counter::kDiffusionMalformed);
     return;
   }
   if (role_ == Role::kEvicted) return;
@@ -173,14 +174,14 @@ void SensorNode::on_diff_data(net::Network& net, const Packet& packet) {
     diffusion_samples_.push_back(DiffusionSample{
         body->interest, body->seq, body->source, body->exploratory != 0,
         body->payload});
-    net.counters().increment("diffusion.delivered");
+    net.counters().increment(obs::Counter::kDiffusionDelivered);
     // Positive reinforcement of the first-delivering neighbor (once).
     if (body->exploratory && !entry.sink_reinforced) {
       entry.sink_reinforced = true;
       broadcast_under_current_key(net, PacketKind::kReinforce,
                                   wsn::encode(ReinforceBody{body->interest}),
                                   packet.sender);
-      net.counters().increment("diffusion.reinforce_sent");
+      net.counters().increment(obs::Counter::kDiffusionReinforceSent);
     }
     return;
   }
@@ -188,7 +189,7 @@ void SensorNode::on_diff_data(net::Network& net, const Packet& packet) {
   if (body->exploratory != 0) {
     // Flood onward along the interest gradient.
     broadcast_under_current_key(net, PacketKind::kDiffData, wsn::encode(*body));
-    net.counters().increment("diffusion.exploratory_forwarded");
+    net.counters().increment(obs::Counter::kDiffusionExploratoryForwarded);
   } else {
     // Path data: only the addressed node on the reinforced path relays.
     if (header.next_hop != id() || !entry.on_reinforced_path) return;
@@ -198,7 +199,7 @@ void SensorNode::on_diff_data(net::Network& net, const Packet& packet) {
                                        : entry.toward_sink;
     broadcast_under_current_key(net, PacketKind::kDiffData, wsn::encode(*body),
                                 downstream);
-    net.counters().increment("diffusion.path_forwarded");
+    net.counters().increment(obs::Counter::kDiffusionPathForwarded);
   }
 }
 
@@ -208,7 +209,7 @@ void SensorNode::on_reinforce(net::Network& net, const Packet& packet) {
   if (!plain) return;
   const auto body = wsn::decode<ReinforceBody>(*plain);
   if (!body) {
-    net.counters().increment("diffusion.malformed");
+    net.counters().increment(obs::Counter::kDiffusionMalformed);
     return;
   }
   if (role_ == Role::kEvicted) return;
@@ -219,7 +220,7 @@ void SensorNode::on_reinforce(net::Network& net, const Packet& packet) {
   if (entry.on_reinforced_path) return;  // already marked (loop guard)
   entry.on_reinforced_path = true;
   entry.path_toward_sink = packet.sender;  // downstream of the path
-  net.counters().increment("diffusion.reinforced");
+  net.counters().increment(obs::Counter::kDiffusionReinforced);
   // Continue toward the source while a gradient exists; the source
   // itself has none and the walk terminates there.
   if (entry.toward_source != net::kNoNode) {

@@ -9,7 +9,7 @@
 ///     payload is `header || ciphertext`; the handler must decrypt
 ///     before anything can be decoded, so it receives the raw packet.
 ///
-///   decoded<Body>(kind, &NodeT::handler [, malformed_counter]) —
+///   decoded<Body>(kind, &NodeT::handler [, malformed]) —
 ///     cleartext kinds.  The payload is decoded through the unified
 ///     codec (wsn/codec.hpp) up front; handlers receive the parsed body
 ///     and never see malformed bytes.
@@ -21,6 +21,7 @@
 
 #include <array>
 #include <functional>
+#include <optional>
 
 #include "net/network.hpp"
 #include "net/packet.hpp"
@@ -46,18 +47,16 @@ class PacketDispatcher {
   }
 
   /// Registers a cleartext handler; the payload is decoded via the
-  /// unified codec first.  Malformed payloads bump \p malformed_counter
-  /// (when non-null) and are dropped before the handler runs.
+  /// unified codec first.  Malformed payloads bump \p malformed (when
+  /// set) and are dropped before the handler runs.
   template <typename Body>
   PacketDispatcher& decoded(net::PacketKind kind, BodyHandler<Body> handler,
-                            const char* malformed_counter = nullptr) {
-    slot(kind) = [handler, malformed_counter](NodeT& node, net::Network& net,
-                                              const net::Packet& packet) {
+                            std::optional<obs::Counter> malformed = {}) {
+    slot(kind) = [handler, malformed](NodeT& node, net::Network& net,
+                                      const net::Packet& packet) {
       const auto body = wsn::decode<Body>(packet.payload);
       if (!body) {
-        if (malformed_counter != nullptr) {
-          net.counters().increment(malformed_counter);
-        }
+        if (malformed) net.counters().increment(*malformed);
         return;
       }
       (node.*handler)(net, packet, *body);
@@ -69,7 +68,7 @@ class PacketDispatcher {
                 const net::Packet& packet) const {
     const Entry& entry = entries_[index(packet.kind)];
     if (!entry) {
-      net.counters().increment("packet.unknown_kind");
+      net.counters().increment(obs::Counter::kPacketUnknownKind);
       return;
     }
     entry(node, net, packet);

@@ -80,7 +80,7 @@ void SensorNode::on_recluster_timer(net::Network& net) {
   broadcast_under_current_key(net, PacketKind::kReclusterHello,
                               wsn::encode(body));
   ++recluster_messages_sent_;
-  net.counters().increment("recluster.hello_sent");
+  net.counters().increment(obs::Counter::kReclusterHelloSent);
 }
 
 void SensorNode::on_recluster_hello(net::Network& net, const Packet& packet) {
@@ -90,7 +90,7 @@ void SensorNode::on_recluster_hello(net::Network& net, const Packet& packet) {
   if (!plain) return;
   const auto body = wsn::decode<wsn::HelloBody>(*plain);
   if (!body || body->head_id != packet.sender) {
-    net.counters().increment("recluster.malformed");
+    net.counters().increment(obs::Counter::kReclusterMalformed);
     return;
   }
   if (recluster_decided_) return;  // decided nodes reject (§IV-B.1)
@@ -100,7 +100,7 @@ void SensorNode::on_recluster_hello(net::Network& net, const Packet& packet) {
     net.sim().cancel(recluster_timer_);
     recluster_timer_ = sim::kInvalidEventId;
   }
-  net.counters().increment("recluster.joined");
+  net.counters().increment(obs::Counter::kReclusterJoined);
 }
 
 void SensorNode::send_recluster_link_advert(net::Network& net) {
@@ -110,7 +110,7 @@ void SensorNode::send_recluster_link_advert(net::Network& net) {
   broadcast_under_current_key(net, PacketKind::kReclusterLink,
                               wsn::encode(body));
   ++recluster_messages_sent_;
-  net.counters().increment("recluster.link_sent");
+  net.counters().increment(obs::Counter::kReclusterLinkSent);
 }
 
 void SensorNode::on_recluster_link(net::Network& net, const Packet& packet) {
@@ -120,14 +120,14 @@ void SensorNode::on_recluster_link(net::Network& net, const Packet& packet) {
   if (!plain) return;
   const auto body = wsn::decode<wsn::LinkAdvertBody>(*plain);
   if (!body) {
-    net.counters().increment("recluster.malformed");
+    net.counters().increment(obs::Counter::kReclusterMalformed);
     return;
   }
   if (recluster_keys_->has_own() && body->cid == recluster_keys_->own_cid()) {
     return;
   }
   if (recluster_keys_->add_neighbor(body->cid, body->cluster_key)) {
-    net.counters().increment("recluster.neighbor_key_stored");
+    net.counters().increment(obs::Counter::kReclusterNeighborKeyStored);
   }
 }
 
@@ -142,7 +142,7 @@ void SensorNode::finish_recluster(net::Network& net) {
     // Round failed locally (e.g. isolated node whose HELLO channel was
     // lossy): keep the old keys rather than going dark.
     recluster_keys_.reset();
-    net.counters().increment("recluster.kept_old_keys");
+    net.counters().increment(obs::Counter::kReclusterKeptOldKeys);
     return;
   }
   keys_ = std::move(*recluster_keys_);
@@ -154,7 +154,7 @@ void SensorNode::finish_recluster(net::Network& net) {
   // The gradient's parent pointers survive, but the parent's cluster
   // changed; refresh the wrap-key hint lazily from the next beacon.
   parent_cid_ = kNoCluster;
-  net.counters().increment("recluster.swapped");
+  net.counters().increment(obs::Counter::kReclusterSwapped);
 }
 
 }  // namespace ldke::core

@@ -143,7 +143,7 @@ void SensorNode::on_election_timer(net::Network& net) {
                                       wsn::encode(body));
   net.broadcast(pkt);
   ++setup_messages_sent_;
-  net.counters().increment("setup.hello_sent");
+  net.counters().increment(obs::Counter::kSetupHelloSent);
 }
 
 void SensorNode::on_hello(net::Network& net, const Packet& packet) {
@@ -152,12 +152,12 @@ void SensorNode::on_hello(net::Network& net, const Packet& packet) {
       master_context().open(setup_nonce(PacketKind::kHello, packet.sender),
                             packet.payload);
   if (!plain) {
-    net.counters().increment("setup.hello_auth_fail");
+    net.counters().increment(obs::Counter::kSetupHelloAuthFail);
     return;
   }
   const auto body = wsn::decode<wsn::HelloBody>(*plain);
   if (!body || body->head_id != packet.sender) {
-    net.counters().increment("setup.hello_malformed");
+    net.counters().increment(obs::Counter::kSetupHelloMalformed);
     return;
   }
   // §IV-B.1: only undecided nodes react; decided nodes reject.
@@ -169,7 +169,7 @@ void SensorNode::on_hello(net::Network& net, const Packet& packet) {
     net.sim().cancel(election_timer_);
     election_timer_ = sim::kInvalidEventId;
   }
-  net.counters().increment("setup.joined");
+  net.counters().increment(obs::Counter::kSetupJoined);
 }
 
 void SensorNode::send_link_advert(net::Network& net) {
@@ -186,7 +186,7 @@ void SensorNode::send_link_advert(net::Network& net) {
                             wsn::encode(body));
   net.broadcast(pkt);
   ++setup_messages_sent_;
-  net.counters().increment("setup.link_sent");
+  net.counters().increment(obs::Counter::kSetupLinkSent);
 }
 
 void SensorNode::on_link_advert(net::Network& net, const Packet& packet) {
@@ -195,18 +195,18 @@ void SensorNode::on_link_advert(net::Network& net, const Packet& packet) {
       master_context().open(setup_nonce(PacketKind::kLinkAdvert, packet.sender),
                             packet.payload);
   if (!plain) {
-    net.counters().increment("setup.link_auth_fail");
+    net.counters().increment(obs::Counter::kSetupLinkAuthFail);
     return;
   }
   const auto body = wsn::decode<wsn::LinkAdvertBody>(*plain);
   if (!body) {
-    net.counters().increment("setup.link_malformed");
+    net.counters().increment(obs::Counter::kSetupLinkMalformed);
     return;
   }
   // Adverts from my own cluster are ignored (§IV-B.2).
   if (keys_.has_own() && body->cid == keys_.own_cid()) return;
   if (keys_.add_neighbor(body->cid, body->cluster_key)) {
-    net.counters().increment("setup.neighbor_key_stored");
+    net.counters().increment(obs::Counter::kSetupNeighborKeyStored);
     net.audit(obs::AuditKind::kNeighborKeyStored, id(), body->cid);
   }
 }
@@ -252,7 +252,7 @@ bool SensorNode::send_reading(net::Network& net,
   } else {
     inner.body.assign(payload.begin(), payload.end());
   }
-  net.counters().increment("data.originated");
+  net.counters().increment(obs::Counter::kDataOriginated);
   if (obs::DeliveryTracker* tracker = net.delivery_tracker()) {
     tracker->on_originate(id(), inner.e2e_counter, net.sim().now().ns());
   }
@@ -283,7 +283,7 @@ void SensorNode::forward_inner(net::Network& net, wsn::DataInner inner) {
       header.nonce, wsn::encode(inner), header_bytes);
   net.broadcast(Packet{id(), PacketKind::kData,
                        wsn::join_envelope(header_bytes, sealed)});
-  net.counters().increment("data.hop_tx");
+  net.counters().increment(obs::Counter::kDataHopTx);
 }
 
 std::optional<support::Bytes> SensorNode::open_envelope(
@@ -292,7 +292,7 @@ std::optional<support::Bytes> SensorNode::open_envelope(
   // payload buffer; only the decrypted plaintext is materialized.
   const auto env = wsn::split_envelope(packet.payload);
   if (!env) {
-    net.counters().increment("envelope.malformed");
+    net.counters().increment(obs::Counter::kEnvelopeMalformed);
     return std::nullopt;
   }
   header = env->header;
@@ -300,12 +300,12 @@ std::optional<support::Bytes> SensorNode::open_envelope(
   if (!ctx) {
     // Not a bordering cluster: cannot translate (expected for most of the
     // network — locality is the point).
-    net.counters().increment("envelope.no_key");
+    net.counters().increment(obs::Counter::kEnvelopeNoKey);
     return std::nullopt;
   }
   auto plain = ctx->open(header.nonce, env->sealed, env->header_bytes);
   if (!plain) {
-    net.counters().increment("envelope.auth_fail");
+    net.counters().increment(obs::Counter::kEnvelopeAuthFail);
     return std::nullopt;
   }
   return plain;
@@ -315,19 +315,19 @@ bool SensorNode::accept_envelope(net::Network& net, const Packet& packet,
                                  const wsn::DataHeader& header,
                                  std::int64_t tau_ns, ClusterId echoed_cid) {
   if (echoed_cid != header.cid) {
-    net.counters().increment("envelope.cid_mismatch");
+    net.counters().increment(obs::Counter::kEnvelopeCidMismatch);
     return false;
   }
   const std::int64_t now_ns = net.sim().now().ns();
   const auto window_ns =
       static_cast<std::int64_t>(config().freshness_window_s * 1e9);
   if (tau_ns > now_ns + window_ns || tau_ns < now_ns - window_ns) {
-    net.counters().increment("envelope.stale");
+    net.counters().increment(obs::Counter::kEnvelopeStale);
     return false;
   }
   auto& last = last_nonce_[packet.sender];
   if (header.nonce <= last) {
-    net.counters().increment("envelope.replay");
+    net.counters().increment(obs::Counter::kEnvelopeReplay);
     net.audit(obs::AuditKind::kReplayRejected, id(), packet.sender,
               header.nonce);
     return false;
@@ -342,7 +342,7 @@ void SensorNode::on_data(net::Network& net, const Packet& packet) {
   if (!plain) return;
   const auto inner = wsn::decode<wsn::DataInner>(*plain);
   if (!inner) {
-    net.counters().increment("envelope.malformed");
+    net.counters().increment(obs::Counter::kEnvelopeMalformed);
     return;
   }
   if (!accept_envelope(net, packet, header, inner->tau_ns, inner->echoed_cid)) {
@@ -351,17 +351,17 @@ void SensorNode::on_data(net::Network& net, const Packet& packet) {
   // At this point the node has authenticated and decrypted the hop
   // envelope: it can "peek" at the (possibly Step-1-protected) content
   // for data-fusion decisions (§II).
-  net.counters().increment("data.peek_ok");
+  net.counters().increment(obs::Counter::kDataPeekOk);
   if (role_ == Role::kEvicted) return;
   if (header.next_hop != id()) return;  // overheard, not the forwarder
 
   if (fusion_filter_ && !fusion_filter_(*inner)) {
-    net.counters().increment("data.fusion_dropped");
+    net.counters().increment(obs::Counter::kDataFusionDropped);
     return;
   }
   if (forward_drop_probability_ > 0.0 &&
       net.sim().rng().bernoulli(forward_drop_probability_)) {
-    net.counters().increment("data.maliciously_dropped");
+    net.counters().increment(obs::Counter::kDataMaliciouslyDropped);
     return;
   }
   if (routing_.hop() == 0) {
@@ -369,7 +369,7 @@ void SensorNode::on_data(net::Network& net, const Packet& packet) {
     return;
   }
   if (!routing_.has_route()) {
-    net.counters().increment("data.no_route");
+    net.counters().increment(obs::Counter::kDataNoRoute);
     return;
   }
   forward_inner(net, *inner);
@@ -378,7 +378,7 @@ void SensorNode::on_data(net::Network& net, const Packet& packet) {
 void SensorNode::on_delivered(net::Network& net, const wsn::DataInner&) {
   // Plain sensors are never a final destination; the base station
   // subclass overrides this.
-  net.counters().increment("data.misdelivered");
+  net.counters().increment(obs::Counter::kDataMisdelivered);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,7 +413,7 @@ void SensorNode::send_beacon(net::Network& net) {
   pkt.kind = PacketKind::kBeacon;
   pkt.payload = wsn::join_envelope(header_bytes, sealed);
   net.broadcast(pkt);
-  net.counters().increment("routing.beacon_tx");
+  net.counters().increment(obs::Counter::kRoutingBeaconTx);
 }
 
 void SensorNode::schedule_beacon(net::Network& net) {
@@ -431,7 +431,7 @@ void SensorNode::on_beacon(net::Network& net, const Packet& packet) {
   if (!plain) return;
   const auto inner = wsn::decode<wsn::BeaconInner>(*plain);
   if (!inner) {
-    net.counters().increment("envelope.malformed");
+    net.counters().increment(obs::Counter::kEnvelopeMalformed);
     return;
   }
   if (!accept_envelope(net, packet, header, inner->tau_ns, inner->echoed_cid)) {
@@ -472,7 +472,7 @@ bool SensorNode::initiate_cluster_rekey(net::Network& net) {
   pkt.kind = PacketKind::kRefresh;
   pkt.payload = wsn::join_envelope(header_bytes, sealed);
   net.broadcast(pkt);
-  net.counters().increment("refresh.initiated");
+  net.counters().increment(obs::Counter::kRefreshInitiated);
 
   refresh_epoch_[body.cid] = body.epoch;
   keys_.replace(body.cid, body.new_key);
@@ -486,19 +486,19 @@ void SensorNode::on_refresh(net::Network& net, const Packet& packet) {
   if (!plain) return;
   const auto body = wsn::decode<wsn::RefreshBody>(*plain);
   if (!body || body->cid != header.cid) {
-    net.counters().increment("refresh.malformed");
+    net.counters().increment(obs::Counter::kRefreshMalformed);
     return;
   }
   auto& epoch = refresh_epoch_[body->cid];
   if (body->epoch <= epoch) {
-    net.counters().increment("refresh.replay");
+    net.counters().increment(obs::Counter::kRefreshReplay);
     net.audit(obs::AuditKind::kRefreshReplay, id(), body->cid, body->epoch);
     return;
   }
   epoch = body->epoch;
   const auto old_key = keys_.key_for(body->cid);
   keys_.replace(body->cid, body->new_key);
-  net.counters().increment("refresh.applied");
+  net.counters().increment(obs::Counter::kRefreshApplied);
   net.audit(obs::AuditKind::kRefreshApplied, id(), body->cid, body->epoch);
 
   // Members re-announce once under the *old* key so that bordering
@@ -518,7 +518,7 @@ void SensorNode::on_refresh(net::Network& net, const Packet& packet) {
     fwd.kind = PacketKind::kRefresh;
     fwd.payload = wsn::join_envelope(out_header, sealed);
     net.broadcast(fwd);
-    net.counters().increment("refresh.reannounced");
+    net.counters().increment(obs::Counter::kRefreshReannounced);
   }
 }
 
@@ -532,7 +532,7 @@ void SensorNode::on_auth_broadcast(net::Network& net, const Packet& packet,
   // return false).  The re-broadcast reuses the incoming payload buffer
   // verbatim (a refcount bump, not a re-encode).
   if (mutesla().on_command(net.sim().now(), cmd)) {
-    net.counters().increment("mutesla.buffered");
+    net.counters().increment(obs::Counter::kMuteslaBuffered);
     net.broadcast(Packet{id(), PacketKind::kAuthBroadcast, packet.payload});
   }
 }
@@ -540,7 +540,7 @@ void SensorNode::on_auth_broadcast(net::Network& net, const Packet& packet,
 void SensorNode::on_key_disclosure(net::Network& net, const Packet& packet,
                                    const KeyDisclosure& disclosure) {
   if (mutesla().on_disclosure(disclosure)) {
-    net.counters().increment("mutesla.key_verified");
+    net.counters().increment(obs::Counter::kMuteslaKeyVerified);
     net.broadcast(Packet{id(), PacketKind::kKeyDisclosure, packet.payload});
   }
 }
@@ -555,25 +555,25 @@ void SensorNode::on_revoke(net::Network& net, const Packet& packet,
   const crypto::MacTag expected =
       wsn::revoke_tag(body.chain_element, body.revoked_cids);
   if (!support::constant_time_equal(expected, body.tag)) {
-    net.counters().increment("revoke.bad_tag");
+    net.counters().increment(obs::Counter::kRevokeBadTag);
     return;
   }
   // A copy of the command this node already accepted (the flood reaches
   // it from every neighbor): the element is our commitment, so walking
   // F toward it would only burn max_skip PRF calls and then fail.
   if (body.chain_element == chain_.commitment()) {
-    net.counters().increment("revoke.duplicate");
+    net.counters().increment(obs::Counter::kRevokeDuplicate);
     return;
   }
   if (!chain_.accept(body.chain_element)) {
-    net.counters().increment("revoke.bad_chain");
+    net.counters().increment(obs::Counter::kRevokeBadChain);
     return;
   }
   bool own_revoked = false;
   for (ClusterId cid : body.revoked_cids) {
     if (cid == keys_.own_cid()) own_revoked = true;
     if (keys_.revoke(cid)) {
-      net.counters().increment("revoke.key_deleted");
+      net.counters().increment(obs::Counter::kRevokeKeyDeleted);
       net.audit(obs::AuditKind::kNeighborKeyDropped, id(), cid);
     }
   }
@@ -581,13 +581,13 @@ void SensorNode::on_revoke(net::Network& net, const Packet& packet,
     const ClusterId revoked_cid = keys_.own_cid();
     role_ = Role::kEvicted;
     keys_.clear();
-    net.counters().increment("revoke.evicted");
+    net.counters().increment(obs::Counter::kRevokeEvicted);
     net.audit(obs::AuditKind::kEvicted, id(), revoked_cid);
   }
   // Flood: each node re-broadcasts an accepted command exactly once
   // (chain monotonicity guarantees single acceptance).
   net.broadcast(Packet{id(), PacketKind::kRevoke, packet.payload});
-  net.counters().increment("revoke.forwarded");
+  net.counters().increment(obs::Counter::kRevokeForwarded);
 }
 
 // ---------------------------------------------------------------------------
@@ -597,7 +597,7 @@ void SensorNode::start_join(net::Network& net) {
   role_ = Role::kJoining;
   const wsn::JoinBody body{id()};
   net.broadcast(Packet{id(), PacketKind::kJoin, wsn::encode(body)});
-  net.counters().increment("join.hello_sent");
+  net.counters().increment(obs::Counter::kJoinHelloSent);
   net.audit(obs::AuditKind::kJoinStarted, id());
   net.sim().schedule_in(sim::SimTime::from_seconds(config().join_window_s),
                         [this, &net] { commit_join(net); });
@@ -622,7 +622,7 @@ void SensorNode::on_join(net::Network& net, const Packet&,
   net.sim().schedule_in(
       sim::SimTime::from_seconds(jitter), [this, &net, reply] {
         net.broadcast(Packet{id(), PacketKind::kJoinReply, wsn::encode(reply)});
-        net.counters().increment("join.reply_sent");
+        net.counters().increment(obs::Counter::kJoinReplySent);
       });
 }
 
@@ -633,7 +633,7 @@ void SensorNode::on_join_reply(net::Network& net, const Packet&,
   // fast-forwarded through the advertised number of hash refreshes.
   // Cap the epoch so a forged reply cannot make us loop for long.
   if (body.hash_epoch > 4096) {
-    net.counters().increment("join.reply_rejected");
+    net.counters().increment(obs::Counter::kJoinReplyRejected);
     net.audit(obs::AuditKind::kJoinRejected, id(), body.cid, body.hash_epoch);
     return;
   }
@@ -644,7 +644,7 @@ void SensorNode::on_join_reply(net::Network& net, const Packet&,
   const crypto::MacTag expected =
       wsn::join_reply_tag(derived, body.cid, body.hash_epoch);
   if (!support::constant_time_equal(expected, body.tag)) {
-    net.counters().increment("join.reply_rejected");
+    net.counters().increment(obs::Counter::kJoinReplyRejected);
     net.audit(obs::AuditKind::kJoinRejected, id(), body.cid, body.hash_epoch);
     return;
   }
@@ -665,14 +665,14 @@ void SensorNode::on_join_reply(net::Network& net, const Packet&,
       join_candidates_.begin(), join_candidates_.end(),
       [&](const auto& c) { return c.first == body.cid; });
   if (!known) join_candidates_.emplace_back(body.cid, derived);
-  net.counters().increment("join.reply_verified");
+  net.counters().increment(obs::Counter::kJoinReplyVerified);
 }
 
 void SensorNode::commit_join(net::Network& net) {
   if (role_ != Role::kJoining) return;
   if (join_candidates_.empty()) {
     // No cluster in range: retry later (energy permitting).
-    net.counters().increment("join.no_cluster");
+    net.counters().increment(obs::Counter::kJoinNoCluster);
     start_join(net);
     return;
   }
@@ -691,7 +691,7 @@ void SensorNode::commit_join(net::Network& net) {
   role_ = Role::kMember;
   joined_late_ = true;
   secrets_.erase_kmc();
-  net.counters().increment("join.committed");
+  net.counters().increment(obs::Counter::kJoinCommitted);
   net.audit(obs::AuditKind::kJoinAdmitted, id(), keys_.own_cid(), hash_epoch_);
 }
 
@@ -717,16 +717,16 @@ const PacketDispatcher<SensorNode>& SensorNode::dispatcher() {
             .raw(PacketKind::kReinforce, &SensorNode::on_reinforce)
             .decoded<wsn::RevokeBody>(PacketKind::kRevoke,
                                       &SensorNode::on_revoke,
-                                      "revoke.malformed")
+                                      obs::Counter::kRevokeMalformed)
             .decoded<wsn::JoinBody>(PacketKind::kJoin, &SensorNode::on_join)
             .decoded<wsn::JoinReplyBody>(PacketKind::kJoinReply,
                                          &SensorNode::on_join_reply)
             .decoded<AuthCommand>(PacketKind::kAuthBroadcast,
                                   &SensorNode::on_auth_broadcast,
-                                  "mutesla.malformed")
+                                  obs::Counter::kMuteslaMalformed)
             .decoded<KeyDisclosure>(PacketKind::kKeyDisclosure,
                                     &SensorNode::on_key_disclosure,
-                                    "mutesla.malformed");
+                                    obs::Counter::kMuteslaMalformed);
         return d;
       }();
   return table;

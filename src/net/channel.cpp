@@ -4,28 +4,15 @@
 
 namespace ldke::net {
 
-void Channel::LaneTallies::resolve_handles(obs::MetricRegistry& counters) {
-  ctr_tx = counters.handle("channel.tx");
-  ctr_tx_external = counters.handle("channel.tx_external");
-  ctr_delivered = counters.handle("channel.delivered");
-  ctr_lost = counters.handle("channel.lost");
-  ctr_collision = counters.handle("channel.collision");
-  ctr_csma_defer = counters.handle("channel.csma_defer");
-  ctr_csma_drop = counters.handle("channel.csma_drop");
-  ctr_dropped_gone = counters.handle("pkt.dropped_gone");
-  ctr_dropped_partition = counters.handle("pkt.dropped_partition");
-}
-
 Channel::Channel(sim::Simulator& sim, const Topology& topology,
                  EnergyModel& energy, obs::MetricRegistry& counters,
                  ChannelConfig config)
     : sim_(sim),
       topology_(topology),
       energy_(energy),
-      counters_(counters),
       config_(config),
       tallies_(1) {
-  tallies_[0].resolve_handles(counters);
+  tallies_[0].counters = &counters;
 }
 
 sim::SimTime Channel::tx_duration(const Packet& packet) const noexcept {
@@ -50,7 +37,7 @@ void Channel::enable_lanes(sim::ShardedKernel& kernel,
   tallies_.clear();
   tallies_.resize(kernel.lane_count());
   for (std::size_t l = 0; l < tallies_.size(); ++l) {
-    tallies_[l].resolve_handles(*lane_counters[l]);
+    tallies_[l].counters = lane_counters[l];
   }
 }
 
@@ -107,32 +94,28 @@ void Channel::note_busy(NodeId node, sim::SimTime until) {
 }
 
 void Channel::fan_out(const Packet& packet, std::span<const NodeId> receivers,
-                      sim::SimTime arrival,
-                      obs::MetricRegistry::Handle LaneTallies::* tx_counter) {
+                      sim::SimTime arrival, obs::Counter tx_counter) {
   if (sniffer_) sniffer_(packet);
   LaneTallies& t = tallies();
-  ++t.tx_count;
+  t.counters->increment(tx_counter);
   t.tx_bytes += packet.size_bytes();
   const auto kind = static_cast<std::size_t>(packet.kind);
   if (kind < kPacketKindCount) {
     ++t.tx_packets_by_kind[kind];
     t.tx_bytes_by_kind[kind] += packet.size_bytes();
   }
-  counters_.increment(t.*tx_counter);
   std::vector<NodeId> heard;
   heard.reserve(receivers.size());
   for (NodeId receiver : receivers) {
     // Link validity is a transmit-time fact (a partition wall blocks the
     // signal itself), so gate before the per-receiver loss draw.
     if (link_gate_ && !link_gate_(packet.sender, receiver)) {
-      ++t.dropped_partition;
-      counters_.increment(t.ctr_dropped_partition);
+      t.counters->increment(obs::Counter::kPktDroppedPartition);
       continue;
     }
     if (config_.loss_probability > 0.0 &&
         sim_.rng().bernoulli(config_.loss_probability)) {
-      ++t.losses;
-      counters_.increment(t.ctr_lost);
+      t.counters->increment(obs::Counter::kChannelLost);
       continue;
     }
     if (config_.model_collisions) track_reception(receiver, arrival);
@@ -182,19 +165,16 @@ void Channel::deliver(const Packet& packet, std::span<const NodeId> receivers) {
     // nothing: no rx energy, no dispatch into its (possibly recycled)
     // slot — the frame just dies on the air.
     if (delivery_gate_ && !delivery_gate_(receiver)) {
-      ++t.dropped_gone;
-      counters_.increment(t.ctr_dropped_gone);
+      t.counters->increment(obs::Counter::kPktDroppedGone);
       continue;
     }
     // The radio listened either way.
     energy_.charge_rx(receiver, packet.size_bytes());
     if (config_.model_collisions && reception_corrupted(receiver)) {
-      ++t.collisions;
-      counters_.increment(t.ctr_collision);
+      t.counters->increment(obs::Counter::kChannelCollision);
       continue;
     }
-    ++t.rx_count;
-    counters_.increment(t.ctr_delivered);
+    t.counters->increment(obs::Counter::kChannelDelivered);
     if (deliver_) deliver_(receiver, packet);
   }
 }
@@ -204,7 +184,7 @@ void Channel::emit_now(const Packet& packet) {
   energy_.charge_tx(packet.sender, packet.size_bytes(), topology_.range());
   if (config_.csma) note_busy(packet.sender, tx_end);
   fan_out(packet, topology_.neighbors(packet.sender),
-          tx_end + config_.propagation_delay, &LaneTallies::ctr_tx);
+          tx_end + config_.propagation_delay, obs::Counter::kChannelTx);
 }
 
 void Channel::csma_transmit(Packet packet, int attempt) {
@@ -216,12 +196,10 @@ void Channel::csma_transmit(Packet packet, int attempt) {
   }
   LaneTallies& t = tallies();
   if (attempt >= config_.csma_max_attempts) {
-    ++t.csma_drops;
-    counters_.increment(t.ctr_csma_drop);
+    t.counters->increment(obs::Counter::kChannelCsmaDrop);
     return;
   }
-  ++t.csma_deferrals;
-  counters_.increment(t.ctr_csma_defer);
+  t.counters->increment(obs::Counter::kChannelCsmaDefer);
   const sim::SimTime resume =
       it->second + sim::SimTime::from_seconds(
                        sim_.rng().exponential(1.0 / config_.csma_backoff_mean_s));
@@ -243,7 +221,7 @@ void Channel::broadcast_from(Vec2 position, double radius,
   const std::vector<NodeId> receivers = topology_.nodes_within(position, radius);
   fan_out(packet, receivers,
           sim_.now() + tx_duration(packet) + config_.propagation_delay,
-          &LaneTallies::ctr_tx_external);
+          obs::Counter::kChannelTxExternal);
 }
 
 }  // namespace ldke::net

@@ -104,26 +104,36 @@ class Channel {
                     const std::vector<std::uint32_t>& lane_of,
                     std::span<obs::MetricRegistry* const> lane_counters);
 
+  /// Channel event totals, read from the lanes' counters.
   [[nodiscard]] std::uint64_t transmissions() const noexcept {
-    return sum_tally(&LaneTallies::tx_count);
+    return sum(obs::Counter::kChannelTx) +
+           sum(obs::Counter::kChannelTxExternal);
   }
   [[nodiscard]] std::uint64_t deliveries() const noexcept {
-    return sum_tally(&LaneTallies::rx_count);
+    return sum(obs::Counter::kChannelDelivered);
   }
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
-    return sum_tally(&LaneTallies::tx_bytes);
+    std::uint64_t total = 0;
+    for (const LaneTallies& t : tallies_) total += t.tx_bytes;
+    return total;
   }
   [[nodiscard]] std::uint64_t collisions() const noexcept {
-    return sum_tally(&LaneTallies::collisions);
+    return sum(obs::Counter::kChannelCollision);
   }
   [[nodiscard]] std::uint64_t losses() const noexcept {
-    return sum_tally(&LaneTallies::losses);
+    return sum(obs::Counter::kChannelLost);
   }
   [[nodiscard]] std::uint64_t dropped_gone() const noexcept {
-    return sum_tally(&LaneTallies::dropped_gone);
+    return sum(obs::Counter::kPktDroppedGone);
   }
   [[nodiscard]] std::uint64_t dropped_partition() const noexcept {
-    return sum_tally(&LaneTallies::dropped_partition);
+    return sum(obs::Counter::kPktDroppedPartition);
+  }
+  [[nodiscard]] std::uint64_t csma_deferrals() const noexcept {
+    return sum(obs::Counter::kChannelCsmaDefer);
+  }
+  [[nodiscard]] std::uint64_t csma_drops() const noexcept {
+    return sum(obs::Counter::kChannelCsmaDrop);
   }
 
   /// Per-PacketKind transmission tallies (index by the kind's numeric
@@ -139,14 +149,13 @@ class Channel {
   struct LaneTallies;
 
   /// The one transmit path, shared by broadcast() and broadcast_from().
-  /// Notes the frame (sniffer, byte/tx accounting, the lane's
+  /// Notes the frame (sniffer, byte accounting, the lane's
   /// \p tx_counter), then makes the transmit-time decisions per receiver
   /// in CSR order: link gate, loss draw, collision window, CSMA busy
   /// note.  The receivers that survive get one delivery event per
   /// destination lane, which holds the payload by a single refcount.
   void fan_out(const Packet& packet, std::span<const NodeId> receivers,
-               sim::SimTime arrival,
-               obs::MetricRegistry::Handle LaneTallies::* tx_counter);
+               sim::SimTime arrival, obs::Counter tx_counter);
 
   /// Body of one delivery event.  Each receiver in turn, fully before
   /// the next, gets what an event of its own would have done: delivery
@@ -174,35 +183,16 @@ class Channel {
   void emit_now(const Packet& packet);
   void note_busy(NodeId node, sim::SimTime until);
 
-  /// Per-lane accounting cell: scalar tallies plus hot-path counter
-  /// handles resolved against that lane's registry.  Cache-line aligned
-  /// so concurrent lanes never false-share; the serial channel is lane 0
-  /// of a one-cell vector (no behavioral fork).
+  /// Per-lane accounting cell: the lane's registry, which counts the
+  /// channel events, plus the byte and per-kind tallies no counter
+  /// holds.  Cache-line aligned so concurrent lanes never false-share;
+  /// the serial channel is lane 0 of a one-cell vector (no behavioral
+  /// fork).
   struct alignas(64) LaneTallies {
-    std::uint64_t tx_count = 0;
-    std::uint64_t rx_count = 0;
+    obs::MetricRegistry* counters = nullptr;
     std::uint64_t tx_bytes = 0;
-    std::uint64_t collisions = 0;
-    std::uint64_t losses = 0;
-    std::uint64_t csma_deferrals = 0;
-    std::uint64_t csma_drops = 0;
-    std::uint64_t dropped_gone = 0;       ///< receiver left/slept mid-flight
-    std::uint64_t dropped_partition = 0;  ///< link gated at transmit time
     KindArray tx_packets_by_kind{};
     KindArray tx_bytes_by_kind{};
-    // Hot-path counters, resolved once: per-packet increments skip the
-    // string lookup in the registry.
-    obs::MetricRegistry::Handle ctr_tx;
-    obs::MetricRegistry::Handle ctr_tx_external;
-    obs::MetricRegistry::Handle ctr_delivered;
-    obs::MetricRegistry::Handle ctr_lost;
-    obs::MetricRegistry::Handle ctr_collision;
-    obs::MetricRegistry::Handle ctr_csma_defer;
-    obs::MetricRegistry::Handle ctr_csma_drop;
-    obs::MetricRegistry::Handle ctr_dropped_gone;
-    obs::MetricRegistry::Handle ctr_dropped_partition;
-
-    void resolve_handles(obs::MetricRegistry& counters);
   };
 
   /// The calling thread's accounting cell (lane-bound inside a window,
@@ -211,17 +201,15 @@ class Channel {
     return tallies_[kernel_ ? sim::ShardedKernel::current_lane() : 0];
   }
 
-  [[nodiscard]] std::uint64_t sum_tally(
-      std::uint64_t LaneTallies::* field) const noexcept {
+  [[nodiscard]] std::uint64_t sum(obs::Counter counter) const noexcept {
     std::uint64_t total = 0;
-    for (const LaneTallies& t : tallies_) total += t.*field;
+    for (const LaneTallies& t : tallies_) total += t.counters->value(counter);
     return total;
   }
 
   sim::Simulator& sim_;
   const Topology& topology_;
   EnergyModel& energy_;
-  obs::MetricRegistry& counters_;
   ChannelConfig config_;
   DeliveryHandler deliver_;
   SnifferHandler sniffer_;
@@ -232,14 +220,6 @@ class Channel {
   const std::vector<std::uint32_t>* lane_of_ = nullptr;  ///< node -> lane
   std::unordered_map<NodeId, std::vector<Reception>> active_receptions_;
   std::unordered_map<NodeId, sim::SimTime> busy_until_;
-
- public:
-  [[nodiscard]] std::uint64_t csma_deferrals() const noexcept {
-    return sum_tally(&LaneTallies::csma_deferrals);
-  }
-  [[nodiscard]] std::uint64_t csma_drops() const noexcept {
-    return sum_tally(&LaneTallies::csma_drops);
-  }
 };
 
 }  // namespace ldke::net

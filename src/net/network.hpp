@@ -174,7 +174,7 @@ class Network {
   /// and counts as `pkt.tx_gated`).
   void broadcast(const Packet& packet) {
     if (scenario_gating_ && !is_active(packet.sender)) {
-      counters().increment("pkt.tx_gated");
+      counters().increment(obs::Counter::kPktTxGated);
       return;
     }
     channel_.broadcast(packet);

@@ -1,8 +1,8 @@
 #pragma once
 /// \file json.hpp
 /// Minimal JSON document model for the observability layer: the trace
-/// sink serializes with it, ldke_trace and the RunSummary round-trip
-/// parse with it.  Objects preserve insertion order so emitted artifacts
+/// sink and the RunSummary writer serialize with it, ldke_trace parses
+/// with it.  Objects preserve insertion order so emitted artifacts
 /// are stable across runs (diff-able, golden-testable).  Dependency-free
 /// by design — the repo bakes in no JSON library and the schema is small.
 

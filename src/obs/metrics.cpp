@@ -1,240 +1,52 @@
 #include "obs/metrics.hpp"
 
-#include <cmath>
-#include <sstream>
+#include <algorithm>
+#include <stdexcept>
 
 namespace ldke::obs {
 
-// ---- Histogram ------------------------------------------------------------
-
-std::size_t Histogram::bucket_of(double value) noexcept {
-  if (!(value > 0.0)) return 0;  // 0, negatives and NaN collapse into bucket 0
-  int exponent = 0;
-  const double mantissa = std::frexp(value, &exponent);  // in [0.5, 1)
-  exponent -= 1;                                         // value = m2 * 2^e, m2 in [1,2)
-  if (exponent < kMinExponent) return 0;
-  if (exponent >= kMaxExponent) return kBucketCount - 1;
-  // Sub-bucket from the leading mantissa bits: mantissa*2 in [1,2).
-  const auto sub = static_cast<std::size_t>(
-      (mantissa * 2.0 - 1.0) * static_cast<double>(1 << kSubBucketsLog2));
-  return (static_cast<std::size_t>(exponent - kMinExponent)
-          << kSubBucketsLog2) +
-         (sub < (1u << kSubBucketsLog2) ? sub : (1u << kSubBucketsLog2) - 1);
-}
-
-double Histogram::bucket_mid(std::size_t index) noexcept {
-  const int exponent =
-      static_cast<int>(index >> kSubBucketsLog2) + kMinExponent;
-  const auto sub =
-      static_cast<double>(index & ((1u << kSubBucketsLog2) - 1));
-  const double lo =
-      1.0 + sub / static_cast<double>(1 << kSubBucketsLog2);
-  const double width = 1.0 / static_cast<double>(1 << kSubBucketsLog2);
-  return std::ldexp(lo + width * 0.5, exponent);
-}
-
-void Histogram::observe(double value) noexcept {
-  ++buckets_[bucket_of(value)];
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    if (value < min_) min_ = value;
-    if (value > max_) max_ = value;
+std::uint64_t MetricRegistry::value(std::string_view name) const {
+  const auto it =
+      std::lower_bound(kCounterNames.begin(), kCounterNames.end(), name);
+  if (it == kCounterNames.end() || *it != name) {
+    throw std::out_of_range("unlisted counter: " + std::string{name});
   }
-  ++count_;
-  sum_ += value;
+  return counts_[static_cast<std::size_t>(it - kCounterNames.begin())];
 }
 
-void Histogram::merge_from(const Histogram& other) noexcept {
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    buckets_[i] += other.buckets_[i];
+std::map<std::string, std::uint64_t, std::less<>> MetricRegistry::all() const {
+  std::map<std::string, std::uint64_t, std::less<>> out;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    out.emplace_hint(out.end(), kCounterNames[i], counts_[i]);
   }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-double Histogram::percentile(double q) const noexcept {
-  if (count_ == 0) return 0.0;
-  if (q <= 0.0) return min_;
-  if (q >= 1.0) return max_;
-  const auto rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count_ - 1)) + 1;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      const double mid = bucket_mid(i);
-      return mid < min_ ? min_ : (mid > max_ ? max_ : mid);
-    }
-  }
-  return max_;
-}
-
-JsonValue Histogram::to_json() const {
-  JsonValue out;
-  out.set("count", count_);
-  out.set("mean", mean());
-  out.set("min", min());
-  out.set("max", max());
-  out.set("p50", percentile(0.50));
-  out.set("p90", percentile(0.90));
-  out.set("p99", percentile(0.99));
   return out;
 }
 
-// ---- MetricRegistry -------------------------------------------------------
-
-MetricRegistry::Handle MetricRegistry::handle(std::string_view name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string{name}, 0).first;
-  }
-  pinned_.emplace(it->first);
-  return Handle{&it->second};
-}
-
-void MetricRegistry::increment(std::string_view name, std::uint64_t by) {
-  const auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    counters_.emplace(std::string{name}, by);
-  } else {
-    it->second += by;
-  }
-}
-
-std::uint64_t MetricRegistry::value(std::string_view name) const noexcept {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-MetricRegistry::GaugeHandle MetricRegistry::gauge_handle(
-    std::string_view name) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string{name}, 0.0).first;
-  }
-  pinned_gauges_.emplace(it->first);
-  return GaugeHandle{&it->second};
-}
-
 void MetricRegistry::set_gauge(std::string_view name, double value) {
-  const auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    gauges_.emplace(std::string{name}, value);
-  } else {
-    it->second = value;
-  }
+  gauges_.insert_or_assign(std::string{name}, value);
 }
 
-double MetricRegistry::gauge(std::string_view name) const noexcept {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
-MetricRegistry::HistogramHandle MetricRegistry::histogram_handle(
-    std::string_view name) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string{name}, Histogram{}).first;
+void MetricRegistry::merge_from(MetricRegistry& other) noexcept {
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    counts_[i] += other.counts_[i];
   }
-  pinned_histograms_.emplace(it->first);
-  return HistogramHandle{&it->second};
-}
-
-void MetricRegistry::observe(std::string_view name, double value) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string{name}, Histogram{}).first;
-  }
-  it->second.observe(value);
-}
-
-const Histogram* MetricRegistry::histogram(std::string_view name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void MetricRegistry::clear() noexcept {
-  for (auto it = counters_.begin(); it != counters_.end();) {
-    if (pinned_.contains(it->first)) {
-      it->second = 0;
-      ++it;
-    } else {
-      it = counters_.erase(it);
-    }
-  }
-  for (auto it = gauges_.begin(); it != gauges_.end();) {
-    if (pinned_gauges_.contains(it->first)) {
-      it->second = 0.0;
-      ++it;
-    } else {
-      it = gauges_.erase(it);
-    }
-  }
-  for (auto it = histograms_.begin(); it != histograms_.end();) {
-    if (pinned_histograms_.contains(it->first)) {
-      it->second.clear();
-      ++it;
-    } else {
-      it = histograms_.erase(it);
-    }
-  }
-}
-
-void MetricRegistry::merge_from(MetricRegistry& other) {
-  for (const auto& [name, value] : other.counters_) {
-    if (value != 0) increment(name, value);
-  }
-  for (const auto& [name, value] : other.gauges_) {
-    if (value != 0.0) set_gauge(name, value);
-  }
-  for (const auto& [name, hist] : other.histograms_) {
-    if (hist.count() == 0) continue;
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_.emplace(name, Histogram{}).first;
-    }
-    it->second.merge_from(hist);
-  }
-  other.clear();
-}
-
-std::string MetricRegistry::to_string() const {
-  std::ostringstream os;
-  for (const auto& [name, value] : counters_) {
-    os << name << '=' << value << '\n';
-  }
-  return os.str();
+  other.counts_ = {};
 }
 
 JsonValue MetricRegistry::snapshot_json() const {
-  JsonValue counters;
-  for (const auto& [name, value] : counters_) {
-    if (value != 0) counters.set(name, value);
+  JsonValue counters{JsonObject{}};
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    if (counts_[i] == 0) continue;
+    counters.set(std::string{kCounterNames[i]}, counts_[i]);
   }
-  if (counters.is_null()) counters = JsonValue{JsonObject{}};
-  JsonValue gauges;
+  JsonValue gauges{JsonObject{}};
   for (const auto& [name, value] : gauges_) {
     if (value != 0.0) gauges.set(name, value);
   }
-  if (gauges.is_null()) gauges = JsonValue{JsonObject{}};
-  JsonValue histograms;
-  for (const auto& [name, hist] : histograms_) {
-    if (hist.count() != 0) histograms.set(name, hist.to_json());
-  }
-  if (histograms.is_null()) histograms = JsonValue{JsonObject{}};
   JsonValue out;
   out.set("counters", std::move(counters));
   out.set("gauges", std::move(gauges));
-  out.set("histograms", std::move(histograms));
+  out.set("histograms", JsonValue{JsonObject{}});
   return out;
 }
 

@@ -9,7 +9,7 @@
 ///
 /// Span begin/end is append-to-vector + integer stores — cheap enough to
 /// wrap around every protocol phase, though not meant for per-packet use
-/// (that is what MetricRegistry handles are for).
+/// (that is what the MetricRegistry's counters are for).
 
 #include <cstdint>
 #include <string>

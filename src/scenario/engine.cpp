@@ -267,7 +267,8 @@ ScenarioStats ScenarioEngine::run() {
 
     const std::uint64_t gone0 = net.channel().dropped_gone();
     const std::uint64_t part0 = net.channel().dropped_partition();
-    const std::uint64_t gated0 = net.counters().value("pkt.tx_gated");
+    const std::uint64_t gated0 =
+        net.counters().value(obs::Counter::kPktTxGated);
 
     const std::int64_t phase_start_sim_ns = sim.now().ns();
     const sim::SimTime phase_end =
@@ -303,7 +304,7 @@ ScenarioStats ScenarioEngine::run() {
     finish_phase(pi, ps, dp_stats, phase_start_sim_ns);
     ps.dropped_gone = net.channel().dropped_gone() - gone0;
     ps.dropped_partition = net.channel().dropped_partition() - part0;
-    ps.tx_gated = net.counters().value("pkt.tx_gated") - gated0;
+    ps.tx_gated = net.counters().value(obs::Counter::kPktTxGated) - gated0;
 
     if (phase.recluster_after) {
       runner_.run_recluster_round();

@@ -52,50 +52,66 @@ TEST(RunSummary, JsonRoundTripPreservesEveryField) {
 
   std::ostringstream os;
   write_run_summary(os, original);
-  const auto parsed = obs::JsonValue::parse(os.str());
-  ASSERT_TRUE(parsed.has_value());
-  const auto restored = run_summary_from_json(*parsed);
-  ASSERT_TRUE(restored.has_value());
-
-  EXPECT_EQ(restored->schema_version, original.schema_version);
-  EXPECT_EQ(restored->tool, original.tool);
-  EXPECT_EQ(restored->config.node_count, original.config.node_count);
-  EXPECT_DOUBLE_EQ(restored->config.density, original.config.density);
-  EXPECT_DOUBLE_EQ(restored->config.side_m, original.config.side_m);
-  EXPECT_EQ(restored->config.seed, original.config.seed);
-  EXPECT_DOUBLE_EQ(restored->setup.setup_messages_per_node,
-                   original.setup.setup_messages_per_node);
-  EXPECT_DOUBLE_EQ(restored->setup.mean_keys_per_node,
-                   original.setup.mean_keys_per_node);
-  EXPECT_DOUBLE_EQ(restored->setup.head_fraction,
-                   original.setup.head_fraction);
-  EXPECT_EQ(restored->setup.cluster_count, original.setup.cluster_count);
-  EXPECT_EQ(restored->sim.events_executed, original.sim.events_executed);
-  EXPECT_EQ(restored->sim.queue_high_water, original.sim.queue_high_water);
-  EXPECT_EQ(restored->channel.transmissions, original.channel.transmissions);
-  EXPECT_EQ(restored->channel.bytes_sent, original.channel.bytes_sent);
-  EXPECT_EQ(restored->channel.collisions, original.channel.collisions);
-  ASSERT_EQ(restored->channel.by_kind.size(), original.channel.by_kind.size());
-  for (std::size_t i = 0; i < original.channel.by_kind.size(); ++i) {
-    EXPECT_EQ(restored->channel.by_kind[i].kind,
-              original.channel.by_kind[i].kind);
-    EXPECT_EQ(restored->channel.by_kind[i].packets,
-              original.channel.by_kind[i].packets);
-    EXPECT_EQ(restored->channel.by_kind[i].bytes,
-              original.channel.by_kind[i].bytes);
+  const auto doc = obs::JsonValue::parse(os.str());
+  ASSERT_TRUE(doc.has_value());
+  for (const char* key : {"config", "setup", "sim", "channel", "crypto",
+                          "energy", "latency", "phases"}) {
+    ASSERT_NE(doc->find(key), nullptr) << key;
   }
-  EXPECT_EQ(restored->crypto.seals, original.crypto.seals);
-  EXPECT_EQ(restored->crypto.opens, original.crypto.opens);
-  EXPECT_EQ(restored->crypto.prf_calls, original.crypto.prf_calls);
-  EXPECT_EQ(restored->crypto.macs, original.crypto.macs);
-  EXPECT_DOUBLE_EQ(restored->energy.total_j, original.energy.total_j);
-  EXPECT_EQ(restored->latency.originated, original.latency.originated);
-  ASSERT_EQ(restored->phases.size(), original.phases.size());
+  const auto section = [&](std::string_view key) -> const obs::JsonValue& {
+    return *doc->find(key);
+  };
+  const auto u64 = [](const obs::JsonValue& object, std::string_view key) {
+    return static_cast<std::uint64_t>(object.int_at(key));
+  };
+
+  EXPECT_EQ(doc->int_at("schema_version"), original.schema_version);
+  EXPECT_EQ(doc->string_at("tool"), original.tool);
+  const obs::JsonValue& config = section("config");
+  EXPECT_EQ(u64(config, "node_count"), original.config.node_count);
+  EXPECT_DOUBLE_EQ(config.number_at("density"), original.config.density);
+  EXPECT_DOUBLE_EQ(config.number_at("side_m"), original.config.side_m);
+  EXPECT_EQ(u64(config, "seed"), original.config.seed);
+  const obs::JsonValue& setup = section("setup");
+  EXPECT_DOUBLE_EQ(setup.number_at("setup_messages_per_node"),
+                   original.setup.setup_messages_per_node);
+  EXPECT_DOUBLE_EQ(setup.number_at("mean_keys_per_node"),
+                   original.setup.mean_keys_per_node);
+  EXPECT_DOUBLE_EQ(setup.number_at("head_fraction"),
+                   original.setup.head_fraction);
+  EXPECT_EQ(u64(setup, "cluster_count"), original.setup.cluster_count);
+  const obs::JsonValue& sim = section("sim");
+  EXPECT_EQ(u64(sim, "events_executed"), original.sim.events_executed);
+  EXPECT_EQ(u64(sim, "queue_high_water"), original.sim.queue_high_water);
+  const obs::JsonValue& channel = section("channel");
+  EXPECT_EQ(u64(channel, "transmissions"), original.channel.transmissions);
+  EXPECT_EQ(u64(channel, "bytes_sent"), original.channel.bytes_sent);
+  EXPECT_EQ(u64(channel, "collisions"), original.channel.collisions);
+  const obs::JsonValue* by_kind = channel.find("by_kind");
+  ASSERT_NE(by_kind, nullptr);
+  ASSERT_EQ(by_kind->as_object().size(), original.channel.by_kind.size());
+  for (std::size_t i = 0; i < original.channel.by_kind.size(); ++i) {
+    const auto& [kind, entry] = by_kind->as_object()[i];
+    EXPECT_EQ(kind, original.channel.by_kind[i].kind);
+    EXPECT_EQ(u64(entry, "packets"), original.channel.by_kind[i].packets);
+    EXPECT_EQ(u64(entry, "bytes"), original.channel.by_kind[i].bytes);
+  }
+  const obs::JsonValue& crypto = section("crypto");
+  EXPECT_EQ(u64(crypto, "seals"), original.crypto.seals);
+  EXPECT_EQ(u64(crypto, "opens"), original.crypto.opens);
+  EXPECT_EQ(u64(crypto, "prf_calls"), original.crypto.prf_calls);
+  EXPECT_EQ(u64(crypto, "macs"), original.crypto.macs);
+  EXPECT_DOUBLE_EQ(section("energy").number_at("total_j"),
+                   original.energy.total_j);
+  EXPECT_EQ(u64(section("latency"), "originated"),
+            original.latency.originated);
+  const obs::JsonArray& phases = section("phases").as_array();
+  ASSERT_EQ(phases.size(), original.phases.size());
   for (std::size_t i = 0; i < original.phases.size(); ++i) {
-    EXPECT_EQ(restored->phases[i].name, original.phases[i].name);
-    EXPECT_EQ(restored->phases[i].t0_ns, original.phases[i].t0_ns);
-    EXPECT_EQ(restored->phases[i].t1_ns, original.phases[i].t1_ns);
-    EXPECT_EQ(restored->phases[i].depth, original.phases[i].depth);
+    EXPECT_EQ(phases[i].string_at("name"), original.phases[i].name);
+    EXPECT_EQ(phases[i].int_at("t0"), original.phases[i].t0_ns);
+    EXPECT_EQ(phases[i].int_at("t1"), original.phases[i].t1_ns);
+    EXPECT_EQ(u64(phases[i], "depth"), original.phases[i].depth);
   }
 }
 
@@ -113,14 +129,6 @@ TEST(RunSummary, Fig9KeyIsTheDocumentedContract) {
   EXPECT_DOUBLE_EQ(setup->number_at("mean_keys_per_node"),
                    metrics.mean_keys_per_node);
   EXPECT_DOUBLE_EQ(setup->number_at("head_fraction"), metrics.head_fraction);
-}
-
-TEST(RunSummary, NewerSchemaVersionIsRejected) {
-  obs::JsonValue doc;
-  doc.set("schema_version", 999).set("tool", "future");
-  EXPECT_FALSE(run_summary_from_json(doc).has_value());
-  EXPECT_FALSE(run_summary_from_json(obs::JsonValue{"not an object"})
-                   .has_value());
 }
 
 TEST(TraceJsonl, RoundTripReproducesFig9FromTraceAlone) {

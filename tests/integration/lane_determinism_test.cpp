@@ -3,7 +3,7 @@
 /// metrics (keys/node, messages/node, cluster distribution), identical
 /// channel delivery counts, identical energy totals (doubles compared
 /// exactly — the id-order summation makes them reproducible) and
-/// identical metric registries modulo the kernel.* balance gauges.  The
+/// identical counters.  The
 /// scheduler's event count is the one figure that legitimately varies
 /// with the lane count: the channel coalesces a transmission's
 /// deliveries into one event per destination lane.
@@ -59,7 +59,6 @@ TrialResult run_trial(std::size_t lanes, std::uint64_t seed) {
   r.energy_rx_j = energy.rx_j();
   r.crypto = runner.crypto_totals();
   for (const auto& [name, value] : runner.network().counters().all()) {
-    if (name.starts_with("kernel.")) continue;
     if (value != 0) r.counters.emplace(name, value);
   }
   return r;
