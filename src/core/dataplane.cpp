@@ -13,11 +13,11 @@ DataPlaneEngine::DataPlaneEngine(ProtocolRunner& runner,
   if (config_.tick_interval_s <= 0.0) {
     throw std::invalid_argument("DataPlaneEngine: tick_interval_s must be > 0");
   }
-  // Fail at construction, not mid-run: the sharded kernel cannot host
-  // engine events that mutate node state across the whole deployment.
-  if (runner_.sim().kernel() != nullptr) {
+  // Fail at construction, not mid-run: lanes cannot host engine events
+  // that mutate node state across the whole deployment.
+  if (runner_.sim().lane_count() > 1) {
     throw std::invalid_argument(
-        "DataPlaneEngine requires the serial event loop (kernel lanes == 1): "
+        "DataPlaneEngine requires a one-lane simulator (kernel lanes == 1): "
         "engine events mutate node state across the whole deployment");
   }
   payload_.resize(config_.reading_bytes);

@@ -65,8 +65,8 @@ class DataPlaneEngine {
 
   /// Drives the steady-state window to completion (blocking) and returns
   /// the workload stats.  Records a "steady_state" span on the runner's
-  /// timeline.  Requires the serial event loop: node state is mutated
-  /// from engine events, which the sharded kernel cannot lane-bind.
+  /// timeline.  Requires a one-lane simulator: node state is mutated
+  /// from engine events, which no lane can own.
   DataPlaneStats run();
 
   [[nodiscard]] const DataPlaneStats& stats() const noexcept {

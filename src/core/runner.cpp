@@ -1,7 +1,6 @@
 #include "core/runner.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "support/logging.hpp"
 
@@ -11,12 +10,30 @@ namespace {
 constexpr std::int64_t seconds_to_ns(double s) noexcept {
   return static_cast<std::int64_t>(s * 1e9);
 }
+
+/// The simulator lane count \p config asks for, clamped to 255, and to
+/// one when a lane-incompatible channel model is on.
+std::size_t lanes_for(const RunnerConfig& config) {
+  const std::size_t lanes = std::min<std::size_t>(config.kernel.lanes, 255);
+  const net::ChannelConfig& ch = config.channel;
+  if (lanes > 1 && (ch.loss_probability > 0.0 || ch.model_collisions || ch.csma)) {
+    LDKE_LOG(kWarn, "core")
+        << "lanes: loss/collision/CSMA channel models need one lane; "
+           "clamping lanes=" << lanes << " to 1";
+    return 1;
+  }
+  return lanes;
+}
 }  // namespace
 
 ProtocolRunner::ProtocolRunner(RunnerConfig config)
     : config_(config),
       protocol_(std::make_shared<const ProtocolConfig>(config.protocol)),
-      sim_(config.seed),
+      // The lookahead must lower-bound every cross-lane latency; the
+      // channel's minimum (empty-frame airtime + propagation) is exactly
+      // that bound.
+      sim_(config.seed, lanes_for(config),
+           net::Channel::min_latency(config.channel)),
       roots_(make_deployment(support::derive_seed(config.seed, 0x4b455953))) {
   // Provisioning below derives keys for every node; charge it to the
   // runner, not to any single sensor.
@@ -53,30 +70,8 @@ ProtocolRunner::ProtocolRunner(RunnerConfig config)
     }
     network_->attach(*nodes_.back());
   }
-  setup_sharding();
-}
-
-void ProtocolRunner::setup_sharding() {
-  const std::size_t lanes = std::min<std::size_t>(config_.kernel.lanes, 255);
-  if (lanes <= 1) return;
-  const net::ChannelConfig& ch = config_.channel;
-  if (ch.loss_probability > 0.0 || ch.model_collisions || ch.csma) {
-    LDKE_LOG(kWarn, "core")
-        << "sharded kernel: loss/collision/CSMA channel models are "
-           "serial-only; clamping lanes=" << lanes << " to 1";
-    return;
-  }
-  // The lookahead must lower-bound every cross-lane latency; the
-  // channel's minimum (empty-frame airtime + propagation) is exactly
-  // that bound.
-  const sim::SimTime lookahead = network_->channel().min_latency();
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  pool_ = std::make_unique<support::ThreadPool>(std::min(lanes, hw));
-  sim_.enable_sharding(lanes, lookahead, *pool_);
-  network_->enable_lanes(*sim_.kernel());
-  lane_crypto_.assign(lanes, {});
-  sim_.kernel()->set_lane_env(
+  lane_crypto_.resize(sim_.lane_count());
+  sim_.set_lane_env(
       [this](std::uint32_t lane, const std::function<void()>& body) {
         crypto::ScopedCryptoCounters crypto_scope{lane_crypto_[lane]};
         body();
@@ -84,8 +79,7 @@ void ProtocolRunner::setup_sharding() {
 }
 
 void ProtocolRunner::fold_lane_state() {
-  sim::ShardedKernel* kernel = sim_.kernel();
-  if (kernel == nullptr) return;
+  if (sim_.lane_count() == 1) return;
   for (crypto::CryptoCounters& lane : lane_crypto_) {
     crypto_residual_ += lane;
     lane = {};
@@ -95,17 +89,15 @@ void ProtocolRunner::fold_lane_state() {
   // Lane-balance figures for ldke_trace's summary.  Gauges (overwrite
   // semantics) so repeated folds stay idempotent.
   obs::MetricRegistry& counters = network_->counters();
-  counters.set_gauge("kernel.lanes",
-                     static_cast<double>(kernel->lane_count()));
-  counters.set_gauge("kernel.windows", static_cast<double>(kernel->windows()));
+  counters.set_gauge("kernel.lanes", static_cast<double>(sim_.lane_count()));
+  counters.set_gauge("kernel.windows", static_cast<double>(sim_.windows()));
   counters.set_gauge("kernel.halo_packets",
-                     static_cast<double>(kernel->halo_packets()));
-  counters.set_gauge("kernel.lookahead_us",
-                     kernel->lookahead().seconds() * 1e6);
+                     static_cast<double>(sim_.halo_packets()));
+  counters.set_gauge("kernel.lookahead_us", sim_.lookahead().seconds() * 1e6);
   std::uint64_t min_events = ~0ull;
   std::uint64_t max_events = 0;
-  for (std::size_t l = 0; l < kernel->lane_count(); ++l) {
-    const sim::LaneStats& stats = kernel->lane_stats(l);
+  for (std::size_t l = 0; l < sim_.lane_count(); ++l) {
+    const sim::LaneStats& stats = sim_.lane_stats(l);
     const std::string prefix = "kernel.lane" + std::to_string(l);
     counters.set_gauge(prefix + ".events",
                        static_cast<double>(stats.events));
@@ -154,7 +146,7 @@ void ProtocolRunner::run_routing_setup(double settle_s) {
   for (auto& node : nodes_) node->reset_routing();
   {
     // The root's beacon kick-off must land in the base station's lane.
-    sim::ShardedKernel::LaneScope scope{
+    sim::Simulator::LaneScope scope{
         network_->lane_of(base_station_->id())};
     base_station_->start_routing_root(*network_);
   }
@@ -178,14 +170,14 @@ void ProtocolRunner::run_recluster_round() {
   for (auto& node : nodes_) {
     // Recluster kicks mutate node state and schedule node timers: bind
     // each to the node's home lane so its events stay lane-local.
-    sim::ShardedKernel::LaneScope scope{network_->lane_of(node->id())};
+    sim::Simulator::LaneScope scope{network_->lane_of(node->id())};
     node->begin_recluster(*network_);
   }
   for (auto& node : nodes_) {
     const double link_at =
         p.link_phase_start_s + sim_.rng().uniform(0.0, p.link_phase_jitter_s);
     SensorNode* raw = node.get();
-    sim::ShardedKernel::LaneScope scope{network_->lane_of(node->id())};
+    sim::Simulator::LaneScope scope{network_->lane_of(node->id())};
     sim_.schedule_in(sim::SimTime::from_seconds(link_at),
                      [raw, this] { raw->send_recluster_link_advert(*network_); });
     sim_.schedule_in(sim::SimTime::from_seconds(p.master_erase_s),
@@ -205,7 +197,7 @@ SensorNode& ProtocolRunner::deploy_new_node(net::Vec2 pos) {
       provision_new_node(roots_, id, commitment_, mutesla_commitment_);
   nodes_.push_back(std::make_unique<SensorNode>(std::move(secrets), protocol_));
   network_->attach(*nodes_.back());
-  sim::ShardedKernel::LaneScope scope{network_->lane_of(id)};
+  sim::Simulator::LaneScope scope{network_->lane_of(id)};
   nodes_.back()->start(*network_);
   return *nodes_.back();
 }

@@ -17,9 +17,7 @@
 #include "net/network.hpp"
 #include "obs/delivery.hpp"
 #include "obs/span.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ldke::core {
 
@@ -32,10 +30,10 @@ struct RunnerConfig {
   ProtocolConfig protocol;
   net::ChannelConfig channel;
   net::EnergyConfig energy;
-  /// Sharded-kernel lane/window settings.  lanes=1 (default) keeps the
-  /// plain serial event loop; lanes>1 requires the lane-incompatible
-  /// channel models (loss, collisions, CSMA) to be off and is clamped
-  /// back to 1 with a warning otherwise.
+  /// Simulator lane count.  lanes=1 (default) runs every event inline;
+  /// lanes>1 requires the lane-incompatible channel models (loss,
+  /// collisions, CSMA) to be off and is clamped back to 1 with a warning
+  /// otherwise.
   sim::KernelConfig kernel;
 };
 
@@ -112,26 +110,16 @@ class ProtocolRunner {
   }
 
  private:
-  /// Installs the sharded kernel when config_.kernel asks for more than
-  /// one lane (and the channel models allow it): builds the worker pool,
-  /// derives the lookahead from the channel's minimum latency, carves
-  /// the deployment into lanes and gives every lane its own crypto
-  /// counter sink.
-  void setup_sharding();
-  /// After a sharded run: folds per-lane crypto residuals and metric
+  /// After a multi-lane run: folds per-lane crypto residuals and metric
   /// registries back into the main ones (in lane order — integer adds,
   /// so the totals are independent of lane count) and publishes the
-  /// kernel's window/halo/balance figures as gauges.
+  /// simulator's window/halo/balance figures as gauges.
   void fold_lane_state();
 
   RunnerConfig config_;
   /// The one ProtocolConfig instance every node of this deployment
   /// references (nodes hold shared_ptr copies, not 136-byte values).
   std::shared_ptr<const ProtocolConfig> protocol_;
-  /// Worker pool driving the sharded kernel's lanes.  Declared before
-  /// sim_ (and null when running serially) so it outlives the kernel
-  /// that holds a reference to it.
-  std::unique_ptr<support::ThreadPool> pool_;
   sim::Simulator sim_;
   DeploymentSecrets roots_;
   crypto::Key128 commitment_;

@@ -5,40 +5,44 @@
 namespace ldke::net {
 
 Channel::Channel(sim::Simulator& sim, const Topology& topology,
-                 EnergyModel& energy, obs::MetricRegistry& counters,
+                 EnergyModel& energy,
+                 std::span<obs::MetricRegistry> lane_counters,
+                 const std::vector<std::uint32_t>& lane_of,
                  ChannelConfig config)
     : sim_(sim),
       topology_(topology),
       energy_(energy),
       config_(config),
-      tallies_(1) {
-  tallies_[0].counters = &counters;
+      tallies_(sim.lane_count()),
+      lane_of_(lane_of) {
+  assert(lane_counters.size() == sim.lane_count());
+  assert((sim.lane_count() == 1 ||
+          (config_.loss_probability == 0.0 && !config_.model_collisions &&
+           !config_.csma)) &&
+         "lane-incompatible channel features enabled");
+  for (std::size_t l = 0; l < tallies_.size(); ++l) {
+    tallies_[l].counters = &lane_counters[l];
+  }
 }
+
+namespace {
+const std::vector<std::uint32_t> kOneLane;
+}  // namespace
+
+Channel::Channel(sim::Simulator& sim, const Topology& topology,
+                 EnergyModel& energy, obs::MetricRegistry& counters,
+                 ChannelConfig config)
+    : Channel(sim, topology, energy, {&counters, 1}, kOneLane, config) {}
 
 sim::SimTime Channel::tx_duration(const Packet& packet) const noexcept {
   const double bits = static_cast<double>(packet.size_bytes()) * 8.0;
   return sim::SimTime::from_seconds(bits / config_.bitrate_bps);
 }
 
-sim::SimTime Channel::min_latency() const noexcept {
+sim::SimTime Channel::min_latency(const ChannelConfig& config) noexcept {
   const double overhead_bits = static_cast<double>(kFrameOverheadBytes) * 8.0;
-  return sim::SimTime::from_seconds(overhead_bits / config_.bitrate_bps) +
-         config_.propagation_delay;
-}
-
-void Channel::enable_lanes(sim::ShardedKernel& kernel,
-                           const std::vector<std::uint32_t>& lane_of,
-                           std::span<obs::MetricRegistry* const> lane_counters) {
-  assert(lane_counters.size() == kernel.lane_count());
-  assert(config_.loss_probability == 0.0 && !config_.model_collisions &&
-         !config_.csma && "lane-incompatible channel features enabled");
-  kernel_ = &kernel;
-  lane_of_ = &lane_of;
-  tallies_.clear();
-  tallies_.resize(kernel.lane_count());
-  for (std::size_t l = 0; l < tallies_.size(); ++l) {
-    tallies_[l].counters = lane_counters[l];
-  }
+  return sim::SimTime::from_seconds(overhead_bits / config.bitrate_bps) +
+         config.propagation_delay;
 }
 
 Channel::KindArray Channel::tx_packets_by_kind() const noexcept {
@@ -133,25 +137,25 @@ void Channel::fan_out(const Packet& packet, std::span<const NodeId> receivers,
                   "delivery event must stay within EventFn's inline buffer");
     return fn;
   };
-  if (kernel_ == nullptr) {
+  if (tallies_.size() == 1) {
     sim_.schedule_at(arrival, event(std::move(heard)));
     return;
   }
-  // Sharded: one event per destination lane.  Off-lane receivers travel
-  // as a halo event, merged at the next window barrier in canonical
-  // order; `arrival` satisfies the lookahead contract because it is at
-  // least min_latency() after the transmission.
+  // More lanes: one event per destination lane.  Off-lane receivers
+  // travel as a halo event, merged at the next window barrier in
+  // canonical order; `arrival` satisfies the lookahead contract because
+  // it is at least min_latency() after the transmission.
   std::vector<std::vector<NodeId>> by_lane(tallies_.size());
   for (NodeId receiver : heard) {
-    by_lane[(*lane_of_)[receiver]].push_back(receiver);
+    by_lane[lane_of_[receiver]].push_back(receiver);
   }
-  const std::uint32_t here = sim::ShardedKernel::current_lane();
+  const std::uint32_t here = sim::Simulator::current_lane();
   for (std::uint32_t lane = 0; lane < by_lane.size(); ++lane) {
     if (by_lane[lane].empty()) continue;
     if (lane == here) {
       sim_.schedule_at(arrival, event(std::move(by_lane[lane])));
     } else {
-      kernel_->schedule_cross(lane, arrival, event(std::move(by_lane[lane])));
+      sim_.schedule_cross(lane, arrival, event(std::move(by_lane[lane])));
     }
   }
 }

@@ -21,7 +21,6 @@
 #include "net/packet.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
 namespace ldke::net {
@@ -49,6 +48,17 @@ class Channel {
   /// Called once per (receiver, packet) delivery.
   using DeliveryHandler = std::function<void(NodeId receiver, const Packet&)>;
 
+  /// A channel over \p sim's lanes.  \p lane_counters holds one registry
+  /// per lane, which counts that lane's channel events; \p lane_of maps
+  /// node id -> lane and is read only with more than one lane.  Both
+  /// must outlive the channel.  More than one lane requires the
+  /// lane-incompatible features (loss injection, collisions, CSMA) to be
+  /// off — the runner clamps to one lane otherwise.
+  Channel(sim::Simulator& sim, const Topology& topology, EnergyModel& energy,
+          std::span<obs::MetricRegistry> lane_counters,
+          const std::vector<std::uint32_t>& lane_of, ChannelConfig config = {});
+
+  /// A channel over a one-lane \p sim, counting into \p counters.
   Channel(sim::Simulator& sim, const Topology& topology, EnergyModel& energy,
           obs::MetricRegistry& counters, ChannelConfig config = {});
 
@@ -89,20 +99,12 @@ class Channel {
 
   [[nodiscard]] sim::SimTime tx_duration(const Packet& packet) const noexcept;
 
-  /// Smallest possible cross-lane latency: an empty frame's airtime plus
-  /// the propagation delay.  This is the sharded kernel's lookahead —
-  /// every delivery arrives at least this long after its transmission.
-  [[nodiscard]] sim::SimTime min_latency() const noexcept;
-
-  /// Switches the channel onto per-lane accounting and cross-lane halo
-  /// delivery.  \p lane_of maps node id -> lane; \p lane_counters is one
-  /// registry per lane (lane 0 may be the network's main registry).
-  /// Both must outlive the channel.  Requires the lane-incompatible
-  /// features (loss injection, collisions, CSMA) to be off — the runner
-  /// clamps to one lane otherwise.
-  void enable_lanes(sim::ShardedKernel& kernel,
-                    const std::vector<std::uint32_t>& lane_of,
-                    std::span<obs::MetricRegistry* const> lane_counters);
+  /// Smallest possible cross-lane latency under \p config: an empty
+  /// frame's airtime plus the propagation delay.  This is the
+  /// simulator's lookahead — every delivery arrives at least this long
+  /// after its transmission.
+  [[nodiscard]] static sim::SimTime min_latency(
+      const ChannelConfig& config) noexcept;
 
   /// Channel event totals, read from the lanes' counters.
   [[nodiscard]] std::uint64_t transmissions() const noexcept {
@@ -186,8 +188,7 @@ class Channel {
   /// Per-lane accounting cell: the lane's registry, which counts the
   /// channel events, plus the byte and per-kind tallies no counter
   /// holds.  Cache-line aligned so concurrent lanes never false-share;
-  /// the serial channel is lane 0 of a one-cell vector (no behavioral
-  /// fork).
+  /// a one-lane channel has one cell.
   struct alignas(64) LaneTallies {
     obs::MetricRegistry* counters = nullptr;
     std::uint64_t tx_bytes = 0;
@@ -195,10 +196,9 @@ class Channel {
     KindArray tx_bytes_by_kind{};
   };
 
-  /// The calling thread's accounting cell (lane-bound inside a window,
-  /// cell 0 everywhere else and in the serial channel).
+  /// The calling lane's accounting cell.
   [[nodiscard]] LaneTallies& tallies() noexcept {
-    return tallies_[kernel_ ? sim::ShardedKernel::current_lane() : 0];
+    return tallies_[sim::Simulator::current_lane()];
   }
 
   [[nodiscard]] std::uint64_t sum(obs::Counter counter) const noexcept {
@@ -215,9 +215,8 @@ class Channel {
   SnifferHandler sniffer_;
   DeliveryGate delivery_gate_;
   LinkGate link_gate_;
-  std::vector<LaneTallies> tallies_;  ///< one cell per lane; [0] serial
-  sim::ShardedKernel* kernel_ = nullptr;          ///< set by enable_lanes
-  const std::vector<std::uint32_t>* lane_of_ = nullptr;  ///< node -> lane
+  std::vector<LaneTallies> tallies_;  ///< one cell per lane
+  const std::vector<std::uint32_t>& lane_of_;  ///< node -> lane
   std::unordered_map<NodeId, std::vector<Reception>> active_receptions_;
   std::unordered_map<NodeId, sim::SimTime> busy_until_;
 };

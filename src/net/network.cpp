@@ -10,9 +10,17 @@ Network::Network(sim::Simulator& sim, Topology topology,
     : sim_(sim),
       topology_(std::move(topology)),
       energy_(energy_cfg),
-      channel_(sim, topology_, energy_, counters_, channel_cfg) {
+      lane_counters_(sim.lane_count()),
+      channel_(sim, topology_, energy_, lane_counters_, lane_of_,
+               channel_cfg) {
   energy_.resize(topology_.size());
   nodes_.resize(topology_.size(), nullptr);
+  if (lane_count() > 1) {
+    lane_of_.resize(topology_.size());
+    for (NodeId id = 0; id < topology_.size(); ++id) {
+      lane_of_[id] = lane_for_position(topology_.position(id));
+    }
+  }
   channel_.set_delivery_handler(
       [this](NodeId receiver, const Packet& packet) {
         dispatch(receiver, packet);
@@ -20,31 +28,12 @@ Network::Network(sim::Simulator& sim, Topology topology,
 }
 
 std::uint32_t Network::lane_for_position(Vec2 pos) const noexcept {
-  const std::size_t lanes = kernel_ != nullptr ? kernel_->lane_count() : 1;
-  if (lanes <= 1 || topology_.side() <= 0.0) return 0;
+  const std::size_t lanes = lane_count();
+  if (topology_.side() <= 0.0) return 0;
   const auto raw = static_cast<std::int64_t>(
       std::floor(pos.x / topology_.side() * static_cast<double>(lanes)));
   return static_cast<std::uint32_t>(
       std::clamp<std::int64_t>(raw, 0, static_cast<std::int64_t>(lanes) - 1));
-}
-
-void Network::enable_lanes(sim::ShardedKernel& kernel) {
-  kernel_ = &kernel;
-  const std::size_t lanes = kernel.lane_count();
-  lane_of_.resize(topology_.size());
-  for (NodeId id = 0; id < topology_.size(); ++id) {
-    lane_of_[id] = lane_for_position(topology_.position(id));
-  }
-  lane_counters_.clear();
-  lane_counters_.push_back(&counters_);
-  extra_counters_.clear();
-  for (std::size_t l = 1; l < lanes; ++l) {
-    extra_counters_.push_back(std::make_unique<obs::MetricRegistry>());
-    lane_counters_.push_back(extra_counters_.back().get());
-  }
-  channel_.enable_lanes(kernel, lane_of_, lane_counters_);
-  if (audit_sink_ != nullptr) audit_sink_->enable_lanes(lanes);
-  if (packet_trace_ != nullptr) packet_trace_->enable_lanes(lanes);
 }
 
 void Network::set_packet_trace(PacketTrace* trace) {
@@ -62,8 +51,8 @@ void Network::set_packet_trace(PacketTrace* trace) {
 }
 
 void Network::fold_lane_metrics() {
-  for (auto& extra : extra_counters_) {
-    counters_.merge_from(*extra);
+  for (std::size_t l = 1; l < lane_counters_.size(); ++l) {
+    lane_counters_[0].merge_from(lane_counters_[l]);
   }
 }
 
@@ -117,7 +106,7 @@ NodeId Network::deploy_position(Vec2 pos) {
   const NodeId id = topology_.add_node(pos);
   energy_.resize(topology_.size());
   if (id >= nodes_.size()) nodes_.resize(id + 1, nullptr);
-  if (kernel_ != nullptr) {
+  if (lane_count() > 1) {
     lane_of_.resize(topology_.size(), 0);
     lane_of_[id] = lane_for_position(pos);
   }
@@ -127,9 +116,9 @@ NodeId Network::deploy_position(Vec2 pos) {
 void Network::start_all() {
   for (Node* node : nodes_) {
     if (node == nullptr) continue;
-    // Bind the (serial) starting thread to the node's home lane so its
-    // kick-off timers land in that lane's scheduler.
-    sim::ShardedKernel::LaneScope scope{lane_of(node->id())};
+    // Bind the starting thread to the node's home lane so its kick-off
+    // timers land in that lane's scheduler.
+    sim::Simulator::LaneScope scope{lane_of(node->id())};
     node->start(*this);
   }
 }

@@ -7,7 +7,6 @@
 /// attack harnesses.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "obs/audit.hpp"
 #include "obs/delivery.hpp"
 #include "obs/metrics.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
 namespace ldke::net {
@@ -37,6 +35,10 @@ enum class RadioState : std::uint8_t {
 
 class Network {
  public:
+  /// Takes its lane count from \p sim: with more than one lane the
+  /// deployment is partitioned into that many vertical strips (by x
+  /// position), each with its own metric registry, and the channel
+  /// delivers across strips as halo events.
   Network(sim::Simulator& sim, Topology topology, ChannelConfig channel_cfg = {},
           EnergyConfig energy_cfg = {});
 
@@ -45,32 +47,23 @@ class Network {
   [[nodiscard]] Channel& channel() noexcept { return channel_; }
   [[nodiscard]] EnergyModel& energy() noexcept { return energy_; }
 
-  /// The trial's metric registry.  Under a sharded kernel each lane
-  /// thread gets its own registry (counter increments from node event
-  /// handlers stay lane-local); fold_lane_metrics() folds the extras
-  /// back into the main registry after the run.
+  /// The calling lane's metric registry.  Each lane has its own
+  /// (counter increments from node event handlers stay lane-local);
+  /// fold_lane_metrics() folds lanes 1.. into lane 0's, the trial's
+  /// registry, after a run.
   [[nodiscard]] obs::MetricRegistry& counters() noexcept {
-    if (!lane_counters_.empty()) {
-      return *lane_counters_[sim::ShardedKernel::current_lane()];
-    }
-    return counters_;
+    return lane_counters_[sim::Simulator::current_lane()];
   }
 
-  // ---- spatial lanes (sharded kernel) ----------------------------------
+  // ---- spatial lanes ---------------------------------------------------
 
-  /// Partitions the deployment into \p kernel.lane_count() vertical
-  /// strips (by x position), switches the channel onto cross-lane halo
-  /// delivery and gives every lane its own metric registry.  Call before
-  /// start_all().
-  void enable_lanes(sim::ShardedKernel& kernel);
-
-  /// Home lane of \p id (0 when lanes are off).
+  /// Home lane of \p id (0 at one lane).
   [[nodiscard]] std::uint32_t lane_of(NodeId id) const noexcept {
     return id < lane_of_.size() ? lane_of_[id] : 0;
   }
 
-  /// Folds the per-lane registries into the main one, in lane order (so
-  /// the result is independent of thread scheduling).  Idempotent.
+  /// Folds the per-lane registries into lane 0's, in lane order (so the
+  /// result is independent of thread scheduling).  Idempotent.
   void fold_lane_metrics();
 
   /// Optional end-to-end DATA delivery tracker; protocol layers call
@@ -84,8 +77,8 @@ class Network {
   }
 
   /// Optional security-audit event stream.  The sink is sized to the
-  /// current lane count on attach (and re-sized by enable_lanes), so
-  /// protocol layers emit through audit() with no lane bookkeeping.
+  /// lane count on attach, so protocol layers emit through audit() with
+  /// no lane bookkeeping.
   void set_audit_sink(obs::AuditSink* sink) {
     audit_sink_ = sink;
     if (sink != nullptr) sink->enable_lanes(lane_count());
@@ -109,12 +102,12 @@ class Network {
   void set_packet_trace(PacketTrace* trace);
 
   /// Shard index the record logs (audit sink, packet trace) write to
-  /// from the calling thread: the running lane, or 0 serially.
-  [[nodiscard]] std::size_t record_lane() const noexcept {
-    return kernel_ != nullptr ? sim::ShardedKernel::current_lane() : 0;
+  /// from the calling thread: its lane.
+  [[nodiscard]] static std::size_t record_lane() noexcept {
+    return sim::Simulator::current_lane();
   }
   [[nodiscard]] std::size_t lane_count() const noexcept {
-    return lane_counters_.empty() ? 1 : lane_counters_.size();
+    return lane_counters_.size();
   }
 
   // ---- scenario radio state (mobility / churn / duty cycling) ---------
@@ -193,7 +186,9 @@ class Network {
   sim::Simulator& sim_;
   Topology topology_;
   EnergyModel energy_;
-  obs::MetricRegistry counters_;
+  // Lane state, built before the channel that counts and routes by it.
+  std::vector<obs::MetricRegistry> lane_counters_;  ///< [0] = the trial's
+  std::vector<std::uint32_t> lane_of_;  ///< node id -> lane; empty at one
   Channel channel_;
   std::vector<Node*> nodes_;
   obs::DeliveryTracker* delivery_tracker_ = nullptr;
@@ -203,11 +198,6 @@ class Network {
   std::vector<RadioState> radio_state_;  ///< empty = everyone active
   std::optional<double> partition_x_;
   bool scenario_gating_ = false;
-  // Lane state (empty while running serially).
-  sim::ShardedKernel* kernel_ = nullptr;
-  std::vector<std::uint32_t> lane_of_;  ///< node id -> home lane
-  std::vector<obs::MetricRegistry*> lane_counters_;  ///< [0] == &counters_
-  std::vector<std::unique_ptr<obs::MetricRegistry>> extra_counters_;
 };
 
 }  // namespace ldke::net

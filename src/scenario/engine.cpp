@@ -52,11 +52,10 @@ ScenarioEngine::ScenarioEngine(core::ProtocolRunner& runner, ScenarioSpec spec)
         "ScenarioEngine: runner config does not match the spec — build the "
         "runner from ScenarioEngine::make_runner_config()");
   }
-  // Fail fast: a sharded kernel could only throw mid-run before, after
-  // setup already burned real work.
-  if (runner_.sim().kernel() != nullptr) {
+  // Fail fast, before setup burns real work.
+  if (runner_.sim().lane_count() > 1) {
     throw std::invalid_argument(
-        "ScenarioEngine requires the serial event loop (kernel lanes == 1): "
+        "ScenarioEngine requires a one-lane simulator (kernel lanes == 1): "
         "scenario events mutate node state across the whole deployment");
   }
 }

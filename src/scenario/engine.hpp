@@ -94,8 +94,9 @@ class ScenarioEngine {
  public:
   /// \p runner must be freshly constructed from make_runner_config():
   /// the engine owns the full lifecycle (key setup, routing, phases).
-  /// Throws if the runner config diverges from the spec or carries a
-  /// sharded kernel (scenario events mutate cross-lane node state).
+  /// Throws if the runner config diverges from the spec or the simulator
+  /// has more than one lane (scenario events mutate cross-lane node
+  /// state).
   ScenarioEngine(core::ProtocolRunner& runner, ScenarioSpec spec);
   ScenarioEngine(const ScenarioEngine&) = delete;
   ScenarioEngine& operator=(const ScenarioEngine&) = delete;

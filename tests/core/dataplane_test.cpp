@@ -384,7 +384,7 @@ TEST(DataPlane, RejectsTheShardedKernel) {
   auto cfg = small_config(3, 60);
   cfg.kernel.lanes = 2;
   auto runner = after_routing(cfg);
-  ASSERT_NE(runner->sim().kernel(), nullptr);
+  ASSERT_EQ(runner->sim().lane_count(), 2u);
   // Rejected at construction, not mid-run.
   EXPECT_THROW((DataPlaneEngine{*runner, DataPlaneConfig{}}),
                std::invalid_argument);

@@ -13,8 +13,6 @@
 ///   ldke_sim scenario <spec.json> [-s seed] [--baselines]
 ///                     [--summary f.json] [--trace f.jsonl]
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,7 +21,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 
 #include "analysis/experiment.hpp"
@@ -46,6 +43,7 @@
 #include "scenario/engine.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
+#include "cli_parse.hpp"
 
 namespace {
 
@@ -94,22 +92,6 @@ int usage() {
   return 2;
 }
 
-/// Reads all of \p text as a T in [lo, hi]: false on an empty string,
-/// trailing characters, a non-finite number or a value out of range.
-template <typename T>
-bool parse_value(std::string_view text, T lo, T hi, T& out) {
-  T v{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc{} || stop != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(v)) return false;
-  }
-  if (v < lo || v > hi) return false;
-  out = v;
-  return true;
-}
-
 /// 0 when every option parsed; otherwise the exit status, with the
 /// reason printed.
 int parse_options(int argc, char** argv, int first, CliOptions& opt,
@@ -122,16 +104,12 @@ int parse_options(int argc, char** argv, int first, CliOptions& opt,
     bool bad_value = false;
     // Takes the flag's value whole and in range, or reports it in one line.
     auto next_value = [&](auto& out, auto lo, auto hi, const char* want) {
-      if (i + 1 < argc && parse_value(argv[i + 1], lo, hi, out)) {
+      if (i + 1 < argc && cli::parse_value(argv[i + 1], lo, hi, out)) {
         ++i;
         return;
       }
-      std::cerr << "ldke: " << arg << " expects " << want << ", got ";
-      if (i + 1 < argc) {
-        std::cerr << '\'' << argv[i + 1] << "'\n";
-      } else {
-        std::cerr << "nothing\n";
-      }
+      cli::report_bad_value("ldke", arg, want,
+                            i + 1 < argc ? argv[i + 1] : nullptr);
       bad_value = true;
     };
     auto next_string = [&](std::string& out) {

@@ -8,13 +8,14 @@
 ///   commands: summary | phases | traffic | talkers [-n k] | latency
 ///             | audit | health | all
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 
 #include "obs/trace_reader.hpp"
+#include "cli_parse.hpp"
 
 namespace {
 
@@ -45,9 +46,18 @@ int main(int argc, char** argv) {
   const char* path = argv[2];
 
   std::size_t top_n = 10;
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::string_view{argv[i]} == "-n") {
-      top_n = static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
+  for (int i = 3; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg != "-n") {
+      std::cerr << "ldke_trace: unknown option: " << arg << '\n';
+      return 2;
+    }
+    const char* value = i + 1 < argc ? argv[++i] : nullptr;
+    if (value == nullptr ||
+        !cli::parse_value(std::string_view{value}, std::size_t{1},
+                          std::numeric_limits<std::size_t>::max(), top_n)) {
+      cli::report_bad_value("ldke_trace", "-n", "a count >= 1", value);
+      return 2;
     }
   }
 

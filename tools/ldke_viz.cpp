@@ -6,13 +6,16 @@
 ///
 ///   $ ./ldke_viz out.svg [node_count] [density] [seed]
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/metrics.hpp"
 #include "core/runner.hpp"
 #include "support/table.hpp"
+#include "cli_parse.hpp"
 
 namespace {
 
@@ -32,10 +35,29 @@ int main(int argc, char** argv) {
     return 2;
   }
   core::RunnerConfig cfg;
-  cfg.node_count = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 400;
-  cfg.density = argc > 3 ? std::strtod(argv[3], nullptr) : 12.0;
+  cfg.node_count = 400;
+  cfg.density = 12.0;
   cfg.side_m = 500.0;
-  cfg.seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 7;
+  cfg.seed = 7;
+  // Each positional value is taken whole and in range, or named in one
+  // line with exit status 2 before anything is built.
+  bool ok = true;
+  auto positional = [&](int index, const char* name, auto& out, auto lo,
+                        auto hi, const char* want) {
+    if (!ok || argc <= index) return;
+    ok = cli::parse_value(argv[index], lo, hi, out);
+    if (!ok) cli::report_bad_value("ldke_viz", name, want, argv[index]);
+  };
+  positional(2, "nodes", cfg.node_count, std::size_t{1},
+             std::size_t{std::numeric_limits<net::NodeId>::max()},
+             "a node count from 1 to 4294967295");
+  positional(3, "density", cfg.density,
+             std::numeric_limits<double>::denorm_min(),
+             std::numeric_limits<double>::max(), "a density > 0");
+  positional(4, "seed", cfg.seed, std::uint64_t{0},
+             std::numeric_limits<std::uint64_t>::max(),
+             "an integer seed >= 0");
+  if (!ok) return 2;
 
   core::ProtocolRunner runner{cfg};
   runner.run_key_setup();
